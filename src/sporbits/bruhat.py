@@ -6,10 +6,16 @@ at the top (the open orbit).  Comparison is by prefix dominance: mu <= pi
 in reverse order iff for every prefix length i the increasing rearrangement
 of pi_1..pi_i is entrywise <= that of mu_1..mu_i.
 
-Rank generating polynomials of lower intervals are computed by brute
-histogram; for involutions avoiding the 17 obstruction patterns the same
-polynomial also factors into brackets 1 + q + ... + q^t via an independent
-peeling recursion, which `factor_rank_poly` implements.
+A lower interval is found by walking down conjugation edges from its top,
+so its cost follows the size of the interval, not the (2n-1)!! elements of
+the degree.  The walk needs no comparison to choose a direction: for
+t = (a, d), a < d, not an arc of w, t*w*t lies strictly below w exactly
+when w(a) < w(d) (in ordinary Bruhat order w < wt < t*w*t then), and every
+mu < pi is reached from pi by such steps (Richardson-Springer; Hultman).
+The rank polynomial is the histogram of ranks over that interval.  For
+involutions avoiding the 17 obstruction patterns the same polynomial also
+factors into brackets 1 + q + ... + q^t via an independent peeling
+recursion, which `factor_rank_poly` implements.
 """
 
 from __future__ import annotations
@@ -22,9 +28,10 @@ from .involutions import (
     DEFAULT_MAX_DEGREE,
     FpfInvolution,
     InvolutionError,
+    SizeLimitError,
     Transposition,
+    _conjugates_below,
     delete_pair_standardize,
-    enumerate_fpf,
     rank,
 )
 from .patterns import PatternWitness, bad_pattern_witness
@@ -104,9 +111,35 @@ def reverse_leq(mu: FpfInvolution, pi: FpfInvolution) -> bool:
 
 
 def interval(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> Interval:
-    """All involutions below pi in reverse order, in lexicographic word order."""
-    members = tuple(mu for mu in enumerate_fpf(pi.n, max_degree) if reverse_leq(mu, pi))
-    return Interval(pi, members, {mu: rank(mu) for mu in members})
+    """All involutions below pi in reverse order, in lexicographic word order.
+
+    >>> from .involutions import parse_involution as p
+    >>> [str(mu) for mu in interval(p("3412")).members]
+    ['3412', '4321']
+    """
+    return _walk(pi, max_degree)[0]
+
+
+def _walk(
+    pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE
+) -> tuple[Interval, dict[tuple[int, ...], list[tuple[int, ...]]]]:
+    """The lower interval of pi, found by walking down conjugation edges,
+    and each member's word mapped to the words of its conjugates above it
+    inside the interval (each once)."""
+    if pi.degree > max_degree:
+        raise SizeLimitError(f"degree {pi.degree} exceeds the enumeration cap {max_degree}")
+    above: dict[tuple[int, ...], list[tuple[int, ...]]] = {pi.word: []}
+    stack = [pi.word]
+    while stack:
+        w = stack.pop()
+        for v in _conjugates_below(w):
+            ups = above.get(v)
+            if ups is None:
+                above[v] = ups = []
+                stack.append(v)
+            ups.append(w)
+    members = tuple(FpfInvolution(w) for w in sorted(above))
+    return Interval(pi, members, {mu: rank(mu) for mu in members}), above
 
 
 def rank_poly(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> RankPolynomial:

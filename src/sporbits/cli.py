@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .involutions import (
     InvolutionError,
     SizeLimitError,
+    fpf_count,
     parse_involution,
     rank,
     w0,
@@ -36,7 +37,6 @@ from .graphs import (
     to_dot,
 )
 from .geometry import FlagError, classify_flag, parse_flag_json
-from . import sweep
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -421,11 +421,15 @@ def cmd_verify_table(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_theorem(args, cfg: RunConfig) -> int:
+    # numpy and scipy load only for the sweep, not for per-element commands.
+    from . import sweep
+
     top_degree = args.degree if args.degree is not None else cfg.max_degree
     _check_degree(top_degree, cfg, "--degree")
+    sweep.check_dense_budget(top_degree)
     if top_degree >= 12:
         print(
-            f"warning: degree {top_degree} enumerates {_double_factorial(top_degree - 1)} involutions;"
+            f"warning: degree {top_degree} enumerates {fpf_count(top_degree // 2)} involutions;"
             " this may take a while",
             file=sys.stderr,
         )
@@ -480,16 +484,10 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
-def _double_factorial(k: int) -> int:
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--output", choices=("text", "json", "dot"), default="text")
+def _add_common(sub: argparse.ArgumentParser, dot: bool = False) -> None:
+    # Only the commands that render a graph accept --output dot.
+    formats = ("text", "json", "dot") if dot else ("text", "json")
+    sub.add_argument("--output", choices=formats, default="text")
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-degree-override", type=int, default=None, dest="max_degree_override")
@@ -537,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="interval graph; --output dot for DOT")
     p.add_argument("involution")
     p.add_argument("--bottom", default=None)
-    _add_common(p)
+    _add_common(p, dot=True)
     p.set_defaults(handler=cmd_graph)
 
     p = sub.add_parser("avoid", help="check the 17 bad patterns")
@@ -547,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full smoothness report for one involution")
     p.add_argument("involution")
-    _add_common(p)
+    _add_common(p, dot=True)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("classify", help="orbit of a flag matrix from a JSON file")

@@ -285,7 +285,8 @@ def parse_flag_json(text: str) -> FlagMatrix:
         parsed = []
         for j, entry in enumerate(row, start=1):
             try:
-                parsed.append(Fraction(entry) if not isinstance(entry, float) else None)
+                # Fraction(True) == 1: JSON booleans and floats are not rationals here.
+                parsed.append(None if isinstance(entry, (bool, float)) else Fraction(entry))
             except (ValueError, ZeroDivisionError, TypeError):
                 parsed.append(None)
             if parsed[-1] is None:

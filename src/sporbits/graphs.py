@@ -4,7 +4,14 @@ Two interval members are adjacent when one is the conjugate of the other by
 a transposition; an edge can carry several transposition labels, but vertex
 degree counts distinct neighbors.  The degree of the bottom vertex of
 [mu, pi] against the rank gap r(pi) - r(mu) is the pointwise test for
-rational smoothness; vertices exceeding the gap are irregular.
+rational smoothness (the Carrell-Peterson degree criterion); vertices
+exceeding the gap are irregular.
+
+Vertex sets come from the downward walk of `bruhat.interval`.  By its
+direction rule a conjugate t*mu*t != mu lies above mu exactly when
+mu(a) > mu(d) for t = (a, d), a < d, so the neighbors of mu in [mu, pi] are
+its conjugates with that property that lie in the interval below pi; no
+order comparison is needed to find them.
 """
 
 from __future__ import annotations
@@ -17,15 +24,16 @@ from .involutions import (
     FpfInvolution,
     InvolutionError,
     Transposition,
+    _conjugate_word,
+    _conjugates_above,
     all_transpositions,
     conjugate,
     delete_pair_standardize,
     encapsulation_count,
-    enumerate_fpf,
     rank,
     w0,
 )
-from .bruhat import reverse_leq
+from .bruhat import _walk, interval, reverse_leq
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,16 +64,14 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
         raise InvolutionError(f"degree mismatch: {bottom.degree} vs {top.degree}")
     if not reverse_leq(bottom, top):
         raise InvolutionError(f"{bottom} is not below {top} in reverse order")
-    verts = tuple(
-        v for v in enumerate_fpf(top.n) if reverse_leq(bottom, v) and reverse_leq(v, top)
-    )
-    vset = set(verts)
+    verts = tuple(v for v in interval(top).members if reverse_leq(bottom, v))
+    by_word = {v.word: v for v in verts}
     labels: dict[tuple[FpfInvolution, FpfInvolution], list[Transposition]] = {}
     neighbors: dict[FpfInvolution, set[FpfInvolution]] = {v: set() for v in verts}
     for u in verts:
         for t in all_transpositions(top.degree):
-            v = conjugate(u, t)
-            if v == u or v not in vset:
+            v = by_word.get(_conjugate_word(u.word, t.a, t.d))
+            if v is None or v is u:
                 continue
             neighbors[u].add(v)
             if u.word < v.word:
@@ -122,13 +128,9 @@ def local_degree_test(mu: FpfInvolution, pi: FpfInvolution) -> LocalDegreeReport
     """
     if not reverse_leq(mu, pi):
         raise InvolutionError(f"{mu} is not below {pi} in reverse order")
-    seen: set[FpfInvolution] = set()
-    for t in all_transpositions(pi.degree):
-        nu = conjugate(mu, t)
-        if nu != mu and nu not in seen and reverse_leq(mu, nu) and reverse_leq(nu, pi):
-            seen.add(nu)
+    degree = sum(1 for nu in _conjugates_above(mu.word) if reverse_leq(FpfInvolution(nu), pi))
     gap = rank(pi) - rank(mu)
-    return LocalDegreeReport(len(seen), gap, len(seen) > gap)
+    return LocalDegreeReport(degree, gap, degree > gap)
 
 
 @dataclass(frozen=True)
@@ -142,17 +144,24 @@ def rationally_singular_locus(pi: FpfInvolution) -> SingularLocus:
 
     The locus itself is the union of the orbit closures of the maximal
     elements; the full member list is the pointwise view.
+
+    One walk down the interval, then one pass in decreasing rank: the
+    degree of mu is the number of its conjugates above it inside the
+    interval, and mu has a singular element above it iff one of those
+    conjugates is singular or has one above it, since the order inside the
+    interval is generated by these edges.
     """
-    members = tuple(
-        mu
-        for mu in enumerate_fpf(pi.n)
-        if reverse_leq(mu, pi) and local_degree_test(mu, pi).irregular
-    )
-    maximal = tuple(
-        mu
-        for mu in members
-        if not any(nu != mu and reverse_leq(mu, nu) for nu in members)
-    )
+    iv, above = _walk(pi)
+    top_rank = rank(pi)
+    singular: dict[tuple[int, ...], bool] = {}
+    shadowed: dict[tuple[int, ...], bool] = {}
+    for mu in sorted(iv.members, key=iv.rank_of.__getitem__, reverse=True):
+        # Every conjugate above mu has a higher rank, so it was visited already.
+        ups = above[mu.word]
+        singular[mu.word] = len(ups) > top_rank - iv.rank_of[mu]
+        shadowed[mu.word] = any(singular[nu] or shadowed[nu] for nu in ups)
+    members = tuple(mu for mu in iv.members if singular[mu.word])
+    maximal = tuple(mu for mu in members if not shadowed[mu.word])
     return SingularLocus(members, maximal)
 
 

@@ -147,6 +147,18 @@ def enumerate_fpf(n: int, max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[FpfInvo
     return _enumerate_cached(n)
 
 
+def fpf_count(n: int) -> int:
+    """(2n-1)!!, the number of fixed-point-free involutions of {1, ..., 2n}.
+
+    >>> fpf_count(7)
+    135135
+    """
+    count = 1
+    for k in range(3, 2 * n, 2):
+        count *= k
+    return count
+
+
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[FpfInvolution, ...]:
     words: list[tuple[int, ...]] = []
@@ -200,14 +212,50 @@ def conjugate(pi: FpfInvolution, t: Transposition) -> FpfInvolution:
 
 
 def _conjugate_word(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
+    # Unless (a, d) is an arc, x = w(a) and y = w(d) lie outside {a, d}, so
+    # only the positions a, d, x and y change: a <-> d swaps the entries at
+    # a and d and relabels the values a (at x) and d (at y).
+    x, y = word[a - 1], word[d - 1]
+    if x == d:
+        return word
     w = list(word)
-    w[a - 1], w[d - 1] = w[d - 1], w[a - 1]
-    for idx, v in enumerate(w):
-        if v == a:
-            w[idx] = d
-        elif v == d:
-            w[idx] = a
+    w[a - 1], w[d - 1], w[x - 1], w[y - 1] = y, x, d, a
     return tuple(w)
+
+
+def _conjugates_below(word: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct words t*w*t strictly below w in reverse order.
+
+    Direction rule: for t = (a, d) with a < d not an arc of w, t*w*t lies
+    strictly below w exactly when w(a) < w(d), and strictly above it
+    otherwise.  An arc has w(a) = d > a = w(d), so it never passes this test.
+    The transposition (w(a), w(d)) = w*t*w gives the same conjugate, and
+    exactly one of the two pairs has a < w(a); only that one is used.
+    """
+    m = len(word)
+    return {
+        _conjugate_word(word, a, d)
+        for a in range(1, m)
+        if a < word[a - 1]
+        for d in range(a + 1, m + 1)
+        if word[a - 1] < word[d - 1]
+    }
+
+
+def _conjugates_above(word: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct words t*w*t strictly above w in reverse order.
+
+    By the direction rule these come from the non-arcs t = (a, d) with
+    w(a) > w(d); of t and w*t*w = (w(d), w(a)) only the pair with a < w(d)
+    is used, which also leaves out the arcs (w(d) = a).
+    """
+    m = len(word)
+    return {
+        _conjugate_word(word, a, d)
+        for a in range(1, m)
+        for d in range(a + 1, m + 1)
+        if a < word[d - 1] < word[a - 1]
+    }
 
 
 def reverse_complement(pi: FpfInvolution) -> FpfInvolution:

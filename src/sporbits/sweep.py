@@ -20,8 +20,10 @@ from scipy import sparse
 from .involutions import (
     DEFAULT_MAX_DEGREE,
     FpfInvolution,
+    SizeLimitError,
     all_transpositions,
     enumerate_fpf,
+    fpf_count,
     rank,
     _conjugate_word,
 )
@@ -43,11 +45,26 @@ class PosetTables:
 _TABLES: dict[int, PosetTables] = {}
 _WORK: dict = {}
 
+# Largest dense leq matrix a sweep may allocate: one byte per pair, so
+# 2n = 12 needs 108 MB and 2n = 14 would need 18.3 GB.
+DENSE_BUDGET_BYTES = 2_000_000_000
+
+
+def check_dense_budget(two_n: int) -> None:
+    """Refuse, before anything is enumerated, a degree whose leq matrix exceeds the budget."""
+    need = fpf_count(two_n // 2) ** 2
+    if need > DENSE_BUDGET_BYTES:
+        raise SizeLimitError(
+            f"degree {two_n}: the dense order matrix needs {need / 1e9:.1f} GB,"
+            f" over the {DENSE_BUDGET_BYTES / 1e9:.1f} GB budget of the sweep"
+        )
+
 
 def poset_tables(two_n: int, workers: int = 1, max_degree: int = DEFAULT_MAX_DEGREE) -> PosetTables:
     cached = _TABLES.get(two_n)
     if cached is not None:
         return cached
+    check_dense_budget(two_n)
     elements = enumerate_fpf(two_n // 2, max_degree)
     index = {el.word: m for m, el in enumerate(elements)}
     ranks = np.array([rank(el) for el in elements], dtype=np.int16)

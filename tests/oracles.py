@@ -170,3 +170,38 @@ def longest_chain_ranks(elements, leq) -> dict:
     for x in order:
         grade[x] = max((grade[y] + 1 for y in below[x]), default=0)
     return grade
+
+
+def fpf_words(two_n: int) -> list[tuple[int, ...]]:
+    """All fixed-point-free involutions of {1, ..., 2n}, sorted, by pairing
+    the least unpaired letter with each other unpaired letter in turn."""
+
+    def pairings(free: tuple[int, ...]):
+        if not free:
+            yield {}
+            return
+        a = free[0]
+        for d in free[1:]:
+            rest = tuple(x for x in free if x not in (a, d))
+            for pairing in pairings(rest):
+                yield {**pairing, a: d, d: a}
+
+    return sorted(tuple(p[i] for i in range(1, two_n + 1)) for p in pairings(tuple(range(1, two_n + 1))))
+
+
+def reverse_below(mu: tuple[int, ...], pi: tuple[int, ...]) -> bool:
+    """mu <= pi in reverse Bruhat order: pi <= mu in ordinary Bruhat order."""
+    return dominance_leq(pi, mu)
+
+
+def inversion_rank(w: tuple[int, ...]) -> int:
+    """Half the inversions w lacks against the reversal; the tests check it
+    against longest-chain grading before relying on it."""
+    m = len(w)
+    return (m * (m - 1) // 2 - inversions(w)) // 2
+
+
+def conjugate_by(w: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
+    """t*w*t for t = (a, d), by composing permutations."""
+    t = transposition(len(w), a, d)
+    return compose(t, compose(w, t))

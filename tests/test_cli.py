@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from sporbits import sweep
 from sporbits.cli import main
 from sporbits.patterns import BOTTOM_VERTEX_TABLE
 from sporbits.geometry import flag_to_json, gram_basis_flag
@@ -49,6 +52,15 @@ class TestBasicCommands:
     def test_rank(self, capsys):
         code, out, _ = run(capsys, "rank", "351624")
         assert (code, out.strip()) == (0, "4")
+
+    @pytest.mark.parametrize("command", ["rank", "poly", "singular-locus"])
+    def test_dot_refused_where_nothing_renders_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "351624", "--output", "dot"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'dot'" in captured.err
 
     def test_rank_bad_input(self, capsys):
         code, _, err = run(capsys, "rank", "2043")
@@ -196,6 +208,14 @@ class TestClassify:
         code, _, err = run(capsys, "classify", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_boolean_entries_refused(self, capsys, tmp_path):
+        path = tmp_path / "flag.json"
+        path.write_text("[[true, false], [false, true]]")
+        code, out, err = run(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert "bad rational at row 1, column 1" in err
+
 
 # The two rows the reference table carried before they were corrected;
 # patched back in, they exercise the diff path of verify-table.
@@ -271,6 +291,16 @@ class TestVerifyTheorem:
         code, _, err = run(capsys, "verify-theorem", "--degree", "12")
         assert code == 3
         assert "cap" in err
+
+    def test_dense_sweep_over_budget_refused_up_front(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("no degree may be swept before the budget check")
+
+        monkeypatch.setattr(sweep, "theorem_survey", no_sweep)
+        code, out, err = run(capsys, "verify-theorem", "--degree", "14", "--max-degree-override", "14")
+        assert code == 3
+        assert out == ""
+        assert "18.3 GB" in err and "budget" in err
 
     def test_bad_workers(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "--degree", "4", "--workers", "0")

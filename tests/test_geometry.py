@@ -204,3 +204,10 @@ class TestSerialization:
             parse_flag_json("not json")
         with pytest.raises(FlagError, match="array of arrays"):
             parse_flag_json('{"rows": []}')
+
+    def test_booleans_are_not_rationals(self):
+        # Fraction(True) == 1, so booleans must be refused before conversion
+        with pytest.raises(FlagError, match="bad rational at row 1, column 1"):
+            parse_flag_json("[[true, false], [false, true]]")
+        with pytest.raises(FlagError, match="row 2, column 2"):
+            parse_flag_json('[["1", 0], [0, false]]')

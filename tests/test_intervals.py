@@ -1,0 +1,202 @@
+"""The downward conjugation walk against enumerate-and-filter oracles.
+
+Every expected value here comes from `oracles` (prefix dominance, conjugation
+by composing permutations, longest-chain grading); the library's order code
+is not consulted.
+"""
+
+import random
+from collections import Counter
+from functools import lru_cache
+
+import pytest
+
+from sporbits.bruhat import interval, rank_poly
+from sporbits.graphs import build_graph, local_degree_test, rationally_singular_locus
+from sporbits.involutions import (
+    FpfInvolution,
+    SizeLimitError,
+    _conjugate_word,
+    _conjugates_above,
+    _conjugates_below,
+    open_orbit,
+    w0,
+)
+
+from oracles import (
+    conjugate_by,
+    dominance_leq,
+    fpf_words,
+    inversion_rank,
+    longest_chain_ranks,
+    reverse_below,
+)
+
+cached_below = lru_cache(maxsize=None)(reverse_below)
+fpf_words = lru_cache(maxsize=None)(fpf_words)
+
+
+def pairs(two_n):
+    return [(a, d) for a in range(1, two_n) for d in range(a + 1, two_n + 1)]
+
+
+def oracle_interval(pi):
+    return [mu for mu in fpf_words(len(pi)) if cached_below(mu, pi)]
+
+
+@lru_cache(maxsize=None)
+def conjugates_above(mu):
+    """Distinct conjugates nu != mu with mu <= nu, by definition."""
+    return {conjugate_by(mu, a, d) for a, d in pairs(len(mu))} - {mu}
+
+
+def oracle_degree(mu, pi):
+    return sum(1 for nu in conjugates_above(mu) if cached_below(mu, nu) and cached_below(nu, pi))
+
+
+def oracle_locus(pi):
+    members = [
+        mu
+        for mu in oracle_interval(pi)
+        if oracle_degree(mu, pi) > inversion_rank(pi) - inversion_rank(mu)
+    ]
+    maximal = [
+        mu for mu in members if not any(nu != mu and cached_below(mu, nu) for nu in members)
+    ]
+    return members, maximal
+
+
+def sample(two_n, k, seed):
+    return random.Random(seed).sample(fpf_words(two_n), k)
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
+def test_direction_rule_exhaustive(two_n):
+    for w in fpf_words(two_n):
+        below, above = set(), set()
+        for a, d in pairs(two_n):
+            v = conjugate_by(w, a, d)
+            assert _conjugate_word(w, a, d) == v
+            if w[a - 1] == d:
+                assert v == w
+                continue
+            # v != w lies on the predicted side, so not on the other one
+            down = w[a - 1] < w[d - 1]
+            assert v != w
+            assert dominance_leq(w, v) if down else dominance_leq(v, w), (w, a, d)
+            (below if down else above).add(v)
+        assert _conjugates_below(w) == below
+        assert _conjugates_above(w) == above
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_inversion_rank_is_the_longest_chain_grade(two_n):
+    words = fpf_words(two_n)
+    grade = longest_chain_ranks(words, cached_below)
+    assert all(grade[w] == inversion_rank(w) for w in words)
+
+
+def check_interval(pi):
+    iv = interval(FpfInvolution(pi))
+    expected = oracle_interval(pi)
+    assert [mu.word for mu in iv.members] == expected
+    assert {mu.word: r for mu, r in iv.rank_of.items()} == {mu: inversion_rank(mu) for mu in expected}
+    hist = Counter(inversion_rank(mu) for mu in expected)
+    assert rank_poly(FpfInvolution(pi)).coeffs == tuple(hist[r] for r in range(inversion_rank(pi) + 1))
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_interval_and_rank_poly_exhaustive(two_n):
+    for pi in fpf_words(two_n):
+        check_interval(pi)
+
+
+def test_interval_and_rank_poly_sampled_at_ten():
+    for pi in sample(10, 12, seed=3) + [open_orbit(5).word]:
+        check_interval(pi)
+
+
+def test_interval_keeps_the_degree_cap():
+    with pytest.raises(SizeLimitError, match="exceeds the enumeration cap 8"):
+        interval(w0(5), max_degree=8)
+    with pytest.raises(SizeLimitError, match="cap 14"):
+        rank_poly(w0(8))
+
+
+def test_interval_at_fourteen_scales_with_its_size():
+    # far below the 135135 elements of the degree: the walk never enumerates it
+    pi = FpfInvolution((13, 14, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 1, 2))
+    assert interval(pi).members == (pi, w0(7))
+
+
+def check_locus(pi):
+    top = FpfInvolution(pi)
+    members, maximal = oracle_locus(pi)
+    locus = rationally_singular_locus(top)
+    assert [mu.word for mu in locus.members] == members
+    assert [mu.word for mu in locus.maximal] == maximal
+    return members
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_degree_test_and_locus_exhaustive(two_n):
+    for pi in fpf_words(two_n):
+        top = FpfInvolution(pi)
+        for mu in oracle_interval(pi):
+            rep = local_degree_test(FpfInvolution(mu), top)
+            assert rep.degree == oracle_degree(mu, pi)
+            assert rep.rank_gap == inversion_rank(pi) - inversion_rank(mu)
+        check_locus(pi)
+
+
+def test_locus_of_obstructed_samples_at_ten():
+    rng = random.Random(7)
+    checked = 0
+    for pi in rng.sample(fpf_words(10), 40):
+        hist = Counter(inversion_rank(mu) for mu in oracle_interval(pi))
+        coeffs = [hist[r] for r in range(inversion_rank(pi) + 1)]
+        if coeffs != coeffs[::-1]:
+            assert check_locus(pi)
+            checked += 1
+            if checked == 3:
+                break
+    assert checked == 3
+
+
+def test_top_at_twelve_has_empty_locus():
+    locus = rationally_singular_locus(open_orbit(6))
+    assert locus.members == () and locus.maximal == ()
+
+
+def check_graph(bottom, top):
+    g = build_graph(FpfInvolution(bottom), FpfInvolution(top))
+    verts = [v for v in fpf_words(len(top)) if cached_below(bottom, v) and cached_below(v, top)]
+    labels = {}
+    for u in verts:
+        for a, d in pairs(len(top)):
+            v = conjugate_by(u, a, d)
+            if v != u and u < v and v in verts:
+                labels.setdefault((u, v), []).append(f"{a}{d}" if d <= 9 else f"{a},{d}")
+    assert [v.word for v in g.vertices] == verts
+    assert {(u.word, v.word): [t.label for t in ts] for (u, v), ts in g.edge_labels.items()} == labels
+    for u in g.vertices:
+        expected = sorted({e[0] if e[1] == u.word else e[1] for e in labels if u.word in e})
+        assert [v.word for v in g.adjacency[u]] == expected
+
+
+@pytest.mark.parametrize("two_n", [4, 6])
+def test_build_graph_all_bottoms(two_n):
+    words = fpf_words(two_n)
+    for top in words:
+        for bottom in words:
+            if cached_below(bottom, top):
+                check_graph(bottom, top)
+
+
+def test_build_graph_sampled_bottoms_at_eight():
+    rng = random.Random(11)
+    tops = rng.sample(fpf_words(8), 6) + [open_orbit(4).word]
+    for top in tops:
+        below = oracle_interval(top)
+        for bottom in rng.sample(below, min(3, len(below))):
+            check_graph(bottom, top)

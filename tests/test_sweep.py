@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
 from sporbits import sweep
 from sporbits.bruhat import is_rationally_smooth, reverse_leq
 from sporbits.graphs import is_regular
-from sporbits.involutions import all_transpositions, conjugate, enumerate_fpf, rank
+from sporbits.involutions import SizeLimitError, all_transpositions, conjugate, enumerate_fpf, rank
 from sporbits.patterns import avoids_all_bad
 
 
@@ -52,3 +53,13 @@ class TestSurvey:
         serial = sweep.theorem_survey(8, workers=1)
         parallel = sweep.theorem_survey(8, workers=2)
         assert serial == parallel
+
+
+def test_dense_tables_over_budget_refused_before_enumeration(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the budget check must come before enumeration")
+
+    monkeypatch.setattr(sweep, "enumerate_fpf", no_enumeration)
+    with pytest.raises(SizeLimitError, match="18.3 GB"):
+        sweep.poset_tables(14)
+    assert 14 not in sweep._TABLES
