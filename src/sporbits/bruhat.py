@@ -12,7 +12,13 @@ the degree.  The walk needs no comparison to choose a direction: for
 t = (a, d), a < d, not an arc of w, t*w*t lies strictly below w exactly
 when w(a) < w(d) (in ordinary Bruhat order w < wt < t*w*t then), and every
 mu < pi is reached from pi by such steps (Richardson-Springer; Hultman).
-The rank polynomial is the histogram of ranks over that interval.  For
+The walk runs on packed words, 4 bits per letter, so a step is one XOR of
+an int and each member's rank follows from its parent's by a count over the
+letters between a and d; words of more than 16 letters are refused.
+`FpfInvolution` objects are built only for what `interval` returns.  The
+last walk is kept, so `rank_poly` and the singular locus of one `analyze`
+query share a single walk.  The rank polynomial is the histogram of ranks
+over the interval.  For
 involutions avoiding the 17 obstruction patterns the same polynomial also
 factors into brackets 1 + q + ... + q^t via an independent peeling
 recursion, which `factor_rank_poly` implements.
@@ -20,17 +26,23 @@ recursion, which `factor_rank_poly` implements.
 
 from __future__ import annotations
 
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .involutions import (
     DEFAULT_MAX_DEGREE,
+    PACKED_MAX_DEGREE,
     FpfInvolution,
     InvolutionError,
     SizeLimitError,
     Transposition,
-    _conjugates_below,
+    _conjugation_masks,
+    _letters,
+    _pack,
+    _unpack,
     delete_pair_standardize,
     rank,
 )
@@ -117,42 +129,70 @@ def interval(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> Interva
     >>> [str(mu) for mu in interval(p("3412")).members]
     ['3412', '4321']
     """
-    return _walk(pi, max_degree)[0]
+    ranks = _walk(pi, max_degree)[0]
+    words = sorted(ranks)
+    members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p in words)
+    return Interval(pi, members, dict(zip(members, map(ranks.__getitem__, words))))
 
 
-def _walk(
-    pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE
-) -> tuple[Interval, dict[tuple[int, ...], list[tuple[int, ...]]]]:
-    """The lower interval of pi, found by walking down conjugation edges,
-    and each member's word mapped to the words of its conjugates above it
-    inside the interval (each once)."""
+def _walk(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[dict[int, int], array, list[int]]:
+    """The lower interval of pi as packed words, walked breadth first.
+
+    Returns each member's rank, in the order the members were walked, and
+    the down-edges: the k-th member's conjugates below it are
+    ``edges[ends[k - 1]:ends[k]]`` (from 0 for k = 0), so a member's
+    conjugates above it inside the interval are its occurrences in
+    ``edges``.  Refused up front beyond ``max_degree`` or beyond what a
+    packed word holds.  The last walk is kept, so the queries of one
+    `analyze` call share it; callers must not modify the result.
+    """
     if pi.degree > max_degree:
         raise SizeLimitError(f"degree {pi.degree} exceeds the enumeration cap {max_degree}")
-    above: dict[tuple[int, ...], list[tuple[int, ...]]] = {pi.word: []}
-    stack = [pi.word]
-    while stack:
-        w = stack.pop()
-        for v in _conjugates_below(w):
-            ups = above.get(v)
-            if ups is None:
-                above[v] = ups = []
-                stack.append(v)
-            ups.append(w)
-    members = tuple(FpfInvolution(w) for w in sorted(above))
-    return Interval(pi, members, {mu: rank(mu) for mu in members}), above
+    if pi.degree > PACKED_MAX_DEGREE:
+        raise SizeLimitError(f"degree {pi.degree} exceeds {PACKED_MAX_DEGREE}, the most a packed word holds")
+    return _walk_from(pi)
+
+
+@lru_cache(maxsize=1)
+def _walk_from(pi: FpfInvolution) -> tuple[dict[int, int], array, list[int]]:
+    two_n = pi.degree
+    masks = _conjugation_masks(two_n)
+    top = _pack(pi.word)
+    ranks = {top: rank(pi)}
+    order = [top]
+    # Flat and unboxed: one container per walk, not one per member, so a
+    # kept walk adds nothing for the garbage collector to trace.
+    edges = array("Q")
+    ends: list[int] = []
+    for p in order:  # grows as members are found
+        w = _letters(p, two_n)
+        r = ranks[p]
+        # Each down-conjugate once: from t = (i, j) with i < w(i) = x < w(j) = y.
+        for i in range(two_n - 1):
+            x = w[i]
+            if x < i:
+                continue
+            masks_ix = masks[i][x]
+            for j in range(i + 1, two_n):
+                y = w[j]
+                if y > x:
+                    v = p ^ masks_ix[j][y]
+                    edges.append(v)
+                    if v not in ranks:
+                        # With c = #{i < k < j : x < w(k) < y}, the length
+                        # rises by 1 + 2c from w to w*t and by 1 + 2c +
+                        # 2[x < j < y] from w*t to t*w*t; the rank, half the
+                        # length missing to the reversal, falls by half the sum.
+                        ranks[v] = r - 1 - 2 * sum(x < z < y for z in w[i + 1 : j]) - (x < j < y)
+                        order.append(v)
+        ends.append(len(edges))
+    return ranks, edges, ends
 
 
 def rank_poly(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> RankPolynomial:
     """Histogram of ranks over the lower interval of pi."""
-    iv = interval(pi, max_degree)
-    top_rank = rank(pi)
-    counts = [0] * (top_rank + 1)
-    for mu in iv.members:
-        r = iv.rank_of[mu]
-        if r > top_rank:
-            raise AssertionError(f"rank monotonicity violated: {mu} has rank {r} inside interval of {pi}")
-        counts[r] += 1
-    return RankPolynomial(tuple(counts))
+    hist = Counter(_walk(pi, max_degree)[0].values())
+    return RankPolynomial(tuple(hist[r] for r in range(rank(pi) + 1)))
 
 
 def is_palindromic(poly: RankPolynomial | Sequence[int]) -> bool:

@@ -11,11 +11,14 @@ Vertex sets come from the downward walk of `bruhat.interval`.  By its
 direction rule a conjugate t*mu*t != mu lies above mu exactly when
 mu(a) > mu(d) for t = (a, d), a < d, so the neighbors of mu in [mu, pi] are
 its conjugates with that property that lie in the interval below pi; no
-order comparison is needed to find them.
+order comparison is needed to find them.  The singular locus reads these
+up-edges and the ranks straight from the walk's packed words (at most 16
+letters), and reuses the walk `rank_poly` just made for the same top.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -26,6 +29,7 @@ from .involutions import (
     Transposition,
     _conjugate_word,
     _conjugates_above,
+    _unpack,
     all_transpositions,
     conjugate,
     delete_pair_standardize,
@@ -149,20 +153,30 @@ def rationally_singular_locus(pi: FpfInvolution) -> SingularLocus:
     degree of mu is the number of its conjugates above it inside the
     interval, and mu has a singular element above it iff one of those
     conjugates is singular or has one above it, since the order inside the
-    interval is generated by these edges.
+    interval is generated by these edges.  The pass pushes that mark down
+    the edges, so each member has it before it is visited.  The walk is
+    the one `rank_poly` made for the same pi, if it was the last.
     """
-    iv, above = _walk(pi)
+    ranks, edges, ends = _walk(pi)
     top_rank = rank(pi)
-    singular: dict[tuple[int, ...], bool] = {}
-    shadowed: dict[tuple[int, ...], bool] = {}
-    for mu in sorted(iv.members, key=iv.rank_of.__getitem__, reverse=True):
-        # Every conjugate above mu has a higher rank, so it was visited already.
-        ups = above[mu.word]
-        singular[mu.word] = len(ups) > top_rank - iv.rank_of[mu]
-        shadowed[mu.word] = any(singular[nu] or shadowed[nu] for nu in ups)
-    members = tuple(mu for mu in iv.members if singular[mu.word])
-    maximal = tuple(mu for mu in members if not shadowed[mu.word])
-    return SingularLocus(members, maximal)
+    words = list(ranks)
+    levels = list(ranks.values())
+    degree = Counter(edges)
+    shadowed: set[int] = set()  # members with a singular member above them
+    singular: list[int] = []
+    maximal: set[int] = set()
+    for k in sorted(range(len(words)), key=levels.__getitem__, reverse=True):
+        p = words[k]
+        is_singular = degree[p] > top_rank - levels[k]
+        if is_singular:
+            singular.append(p)
+            if p not in shadowed:
+                maximal.add(p)
+        if is_singular or p in shadowed:
+            shadowed.update(edges[ends[k - 1] if k else 0 : ends[k]])
+    singular.sort()
+    members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p in singular)
+    return SingularLocus(members, tuple(mu for p, mu in zip(singular, members) if p in maximal))
 
 
 @dataclass(frozen=True)

@@ -223,23 +223,56 @@ def _conjugate_word(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
     return tuple(w)
 
 
-def _conjugates_below(word: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The distinct words t*w*t strictly below w in reverse order.
+# Packed words: letter k of a word (0-based) is the nibble at bit 4*(2n-1-k)
+# and holds w(k+1) - 1, so comparing the ints compares the words
+# lexicographically.  Four bits per letter hold at most 16 letters.
+PACKED_MAX_DEGREE = 16
+_NIBBLES = b"0123456789abcdef"
+_ZERO_BASED = bytes.maketrans(_NIBBLES, bytes(range(16)))
+_ONE_BASED = bytes.maketrans(_NIBBLES, bytes(range(1, 17)))
 
-    Direction rule: for t = (a, d) with a < d not an arc of w, t*w*t lies
-    strictly below w exactly when w(a) < w(d), and strictly above it
-    otherwise.  An arc has w(a) = d > a = w(d), so it never passes this test.
-    The transposition (w(a), w(d)) = w*t*w gives the same conjugate, and
-    exactly one of the two pairs has a < w(a); only that one is used.
+
+def _pack(word: tuple[int, ...]) -> int:
+    p = 0
+    for v in word:
+        p = p << 4 | (v - 1)
+    return p
+
+
+def _letters(p: int, two_n: int) -> bytes:
+    """The 0-based values of a packed word, one byte per position."""
+    return format(p, f"0{two_n}x").encode().translate(_ZERO_BASED)
+
+
+def _unpack(p: int, two_n: int) -> tuple[int, ...]:
+    return tuple(format(p, f"0{two_n}x").encode().translate(_ONE_BASED))
+
+
+@lru_cache(maxsize=None)
+def _conjugation_masks(two_n: int) -> tuple:
+    """XOR masks of packed conjugation, indexed [i][x][j][y] (all 0-based).
+
+    For a word w with w(i) = x and w(j) = y, where i < x, i < j and (i, j)
+    is not an arc, the conjugate by t = (i, j) swaps the entries at i and j
+    and relabels the values i (at x) and j (at y): with p the packed w it is
+    p ^ masks[i][x][j][y], two XOR masks merged into one.  Rows outside
+    i < x, i < j are None: the same conjugate comes from (j, i), (x, y) and
+    (y, x), and one of the four orientations lies inside.
     """
-    m = len(word)
-    return {
-        _conjugate_word(word, a, d)
-        for a in range(1, m)
-        if a < word[a - 1]
-        for d in range(a + 1, m + 1)
-        if word[a - 1] < word[d - 1]
-    }
+    bit = [1 << 4 * (two_n - 1 - k) for k in range(two_n)]
+    pair = [[bit[a] | bit[b] for b in range(two_n)] for a in range(two_n)]
+    return tuple(
+        tuple(
+            None
+            if x <= i
+            else tuple(
+                None if j <= i else tuple([pair[i][j] * (x ^ y) ^ pair[x][y] * (i ^ j) for y in range(two_n)])
+                for j in range(two_n)
+            )
+            for x in range(two_n)
+        )
+        for i in range(two_n)
+    )
 
 
 def _conjugates_above(word: tuple[int, ...]) -> set[tuple[int, ...]]:

@@ -205,3 +205,19 @@ def conjugate_by(w: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
     """t*w*t for t = (a, d), by composing permutations."""
     t = transposition(len(w), a, d)
     return compose(t, compose(w, t))
+
+
+def conjugates_below(w: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The distinct conjugates t*w*t strictly below w in reverse order, by the
+    direction rule: for t = (a, d), a < d, not an arc of w, t*w*t lies
+    strictly below w exactly when w(a) < w(d).  The pair (w(a), w(d)) gives
+    the same conjugate, and exactly one of the two pairs has a < w(a); only
+    that one is taken."""
+    m = len(w)
+    return {
+        conjugate_by(w, a, d)
+        for a in range(1, m)
+        if a < w[a - 1]
+        for d in range(a + 1, m + 1)
+        if w[a - 1] < w[d - 1]
+    }

@@ -11,20 +11,26 @@ from functools import lru_cache
 
 import pytest
 
-from sporbits.bruhat import interval, rank_poly
+from sporbits import bruhat, cli
+from sporbits.bruhat import _walk, interval, rank_poly
 from sporbits.graphs import build_graph, local_degree_test, rationally_singular_locus
 from sporbits.involutions import (
     FpfInvolution,
     SizeLimitError,
     _conjugate_word,
     _conjugates_above,
-    _conjugates_below,
+    _conjugation_masks,
+    _letters,
+    _pack,
+    _unpack,
     open_orbit,
+    rank,
     w0,
 )
 
 from oracles import (
     conjugate_by,
+    conjugates_below,
     dominance_leq,
     fpf_words,
     inversion_rank,
@@ -33,6 +39,7 @@ from oracles import (
 )
 
 cached_below = lru_cache(maxsize=None)(reverse_below)
+conjugates_below = lru_cache(maxsize=None)(conjugates_below)
 fpf_words = lru_cache(maxsize=None)(fpf_words)
 
 
@@ -70,9 +77,20 @@ def sample(two_n, k, seed):
     return random.Random(seed).sample(fpf_words(two_n), k)
 
 
+def packed_conjugate(w, a, d):
+    # t = (a, d) and w*t*w = (w(a), w(d)) give the same conjugate; the
+    # table holds the orientation (i, j) with i < w(i) and i < j.
+    a, d, x, y = a - 1, d - 1, w[a - 1] - 1, w[d - 1] - 1
+    i, j = next((i, j) for i, j in ((a, d), (d, a), (x, y), (y, x)) if i < w[i] - 1 and i < j)
+    return _unpack(_pack(w) ^ _conjugation_masks(len(w))[i][w[i] - 1][j][w[j] - 1], len(w))
+
+
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
 def test_direction_rule_exhaustive(two_n):
     for w in fpf_words(two_n):
+        p = _pack(w)
+        assert _unpack(p, two_n) == w
+        assert list(_letters(p, two_n)) == [v - 1 for v in w]
         below, above = set(), set()
         for a, d in pairs(two_n):
             v = conjugate_by(w, a, d)
@@ -80,12 +98,13 @@ def test_direction_rule_exhaustive(two_n):
             if w[a - 1] == d:
                 assert v == w
                 continue
+            assert packed_conjugate(w, a, d) == v
             # v != w lies on the predicted side, so not on the other one
             down = w[a - 1] < w[d - 1]
             assert v != w
             assert dominance_leq(w, v) if down else dominance_leq(v, w), (w, a, d)
             (below if down else above).add(v)
-        assert _conjugates_below(w) == below
+        assert conjugates_below(w) == below
         assert _conjugates_above(w) == above
 
 
@@ -96,11 +115,22 @@ def test_inversion_rank_is_the_longest_chain_grade(two_n):
     assert all(grade[w] == inversion_rank(w) for w in words)
 
 
+def packed_ranks(pi):
+    ranks = _walk(FpfInvolution(pi))[0]
+    return {_unpack(p, len(pi)): r for p, r in ranks.items()}
+
+
 def check_interval(pi):
     iv = interval(FpfInvolution(pi))
     expected = oracle_interval(pi)
     assert [mu.word for mu in iv.members] == expected
     assert {mu.word: r for mu, r in iv.rank_of.items()} == {mu: inversion_rank(mu) for mu in expected}
+    assert packed_ranks(pi) == {mu.word: rank(mu) for mu in iv.members}
+    # each member's down-edges are its down-conjugates, each once
+    ranks, edges, ends = _walk(FpfInvolution(pi))
+    starts = [0, *ends[:-1]]
+    down = {_unpack(p, len(pi)): [_unpack(v, len(pi)) for v in edges[a:b]] for p, a, b in zip(ranks, starts, ends)}
+    assert all(sorted(vs) == sorted(conjugates_below(mu)) for mu, vs in down.items())
     hist = Counter(inversion_rank(mu) for mu in expected)
     assert rank_poly(FpfInvolution(pi)).coeffs == tuple(hist[r] for r in range(inversion_rank(pi) + 1))
 
@@ -116,11 +146,35 @@ def test_interval_and_rank_poly_sampled_at_ten():
         check_interval(pi)
 
 
+def test_walk_ranks_at_the_top_of_twelve():
+    top = open_orbit(6)
+    ranks = packed_ranks(top.word)
+    assert len(ranks) == 10395
+    assert all(r == rank(FpfInvolution(w)) for w, r in ranks.items())
+
+
 def test_interval_keeps_the_degree_cap():
     with pytest.raises(SizeLimitError, match="exceeds the enumeration cap 8"):
         interval(w0(5), max_degree=8)
     with pytest.raises(SizeLimitError, match="cap 14"):
         rank_poly(w0(8))
+
+
+def test_walk_refuses_what_a_packed_word_cannot_hold():
+    # Letters 17 and 18 would spill into the next nibble.  The bottom's walk
+    # is one step, so a missing refusal fails here instead of running long.
+    with pytest.raises(SizeLimitError, match="exceeds 16, the most a packed word holds"):
+        interval(w0(9), max_degree=18)
+    with pytest.raises(SizeLimitError, match="exceeds 16"):
+        rank_poly(w0(9), max_degree=18)
+
+
+def test_analyze_walks_once(capsys):
+    bruhat._walk_from.cache_clear()
+    assert cli.main(["analyze", "351624"]) == 0
+    info = bruhat._walk_from.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert "maximal singular orbits: 564312" in capsys.readouterr().out
 
 
 def test_interval_at_fourteen_scales_with_its_size():
@@ -147,6 +201,19 @@ def test_degree_test_and_locus_exhaustive(two_n):
             assert rep.degree == oracle_degree(mu, pi)
             assert rep.rank_gap == inversion_rank(pi) - inversion_rank(mu)
         check_locus(pi)
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_locus_is_closed(two_n):
+    # The singular locus is a union of orbit closures: a lower set, and the
+    # union of the lower intervals of its maximal elements.
+    for pi in fpf_words(two_n):
+        locus = rationally_singular_locus(FpfInvolution(pi))
+        members = {mu.word for mu in locus.members}
+        lower = oracle_interval(pi)
+        for mu in members:
+            assert all(nu in members for nu in lower if cached_below(nu, mu)), (pi, mu)
+        assert members == {nu for nu in lower if any(cached_below(nu, m.word) for m in locus.maximal)}
 
 
 def test_locus_of_obstructed_samples_at_ten():
