@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 input error,
-3 resource cap exceeded.  All output is deterministic for fixed (inputs,
-seed, workers); the worker count never changes the bytes produced.
+3 resource cap exceeded.  All output is deterministic for fixed inputs.
+`verify-theorem` runs the whole-poset sweep of `sweep` serially; its
+regularity column is the edge-count test described there.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ HARD_MAX_DEGREE = 14
 @dataclass(frozen=True)
 class RunConfig:
     max_degree: int = DEFAULT_CLI_MAX_DEGREE
-    workers: int = 1
     seed: int = 0
     output: str = "text"
 
@@ -65,9 +65,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         if override > HARD_MAX_DEGREE:
             raise SizeLimitError(f"--max-degree-override {override} exceeds hard maximum {HARD_MAX_DEGREE}")
         max_degree = override
-    if args.workers < 1:
-        raise InvolutionError(f"--workers must be >= 1, got {args.workers}")
-    return RunConfig(max_degree, args.workers, args.seed, args.output)
+    return RunConfig(max_degree, args.seed, args.output)
 
 
 def _check_degree(degree: int, cfg: RunConfig, what: str) -> None:
@@ -422,12 +420,12 @@ def cmd_verify_table(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify_theorem(args, cfg: RunConfig) -> int:
-    # numpy and scipy load only for the sweep, not for per-element commands.
+    # Imported here, so the per-element commands do not load the sweep.
     from . import sweep
 
     top_degree = args.degree if args.degree is not None else cfg.max_degree
     _check_degree(top_degree, cfg, "--degree")
-    sweep.check_dense_budget(top_degree)
+    sweep.check_degree(top_degree)
     if top_degree >= 12:
         print(
             f"warning: degree {top_degree} enumerates {fpf_count(top_degree // 2)} involutions;"
@@ -437,7 +435,7 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
     degree_reports = []
     all_ok = True
     for two_n in range(2, top_degree + 1, 2):
-        survey = sweep.theorem_survey(two_n, workers=cfg.workers)
+        survey = sweep.theorem_survey(two_n)
         mismatches = [
             {
                 "involution": row.word,
@@ -463,7 +461,6 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
             {
                 "schema": "sporbits.verify_theorem/1",
                 "max_degree": top_degree,
-                "workers": cfg.workers,
                 "seed": cfg.seed,
                 "degrees": degree_reports,
                 "ok": all_ok,
@@ -489,7 +486,6 @@ def _add_common(sub: argparse.ArgumentParser, dot: bool = False) -> None:
     # Only the commands that render a graph accept --output dot.
     formats = ("text", "json", "dot") if dot else ("text", "json")
     sub.add_argument("--output", choices=formats, default="text")
-    sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-degree-override", type=int, default=None, dest="max_degree_override")
 

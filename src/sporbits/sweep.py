@@ -1,129 +1,180 @@
-"""Whole-poset sweeps backing the exhaustive verification pipelines.
+"""Whole-poset sweeps backing `verify-theorem`.
 
 The per-element functions in `bruhat` and `graphs` are the reference path;
-this module recomputes the same predicates for every involution of a degree
-at once with numpy/scipy so that full sweeps up to 2n = 12 stay in seconds.
-Tables are memoized per degree and shared between pipelines.  Worker fan-out
-splits column ranges; results are merged in enumeration order, so the worker
-count never changes any output.
+this module computes the same three verdicts for every involution of a
+degree in one pass, in pure Python.
+
+The degree is walked once from its top, the open orbit, down conjugation
+edges (`bruhat._walk`; Richardson-Springer, Hultman), which gives every
+element with its rank and its conjugates below it.  The covers of pi are
+those conjugates whose rank is one less, and the lower set is
+L(pi) = {pi} ∪ ⋃ L(c) over the covers c of pi.  Each L(pi) is a Python int
+used as a bitset, with bits in rank-major order; the sets are built in
+increasing rank, and each level is dropped once the level above it is
+built.  Every column is then read off popcounts:
+
+- palindromic: the rank histogram of L(pi), the popcounts of L(pi) under
+  each rank mask, reads the same reversed;
+- regular, an edge-count test: the conjugation edges inside L(pi) number
+  Σ_{mu in L(pi)} d↓(mu), with d↓ the number of conjugates below mu (a lower
+  set holds every edge below its members).  Each such edge is also an
+  up-edge of its lower end, so the same count is the sum over mu of mu's
+  up-degree inside L(pi), and pi is called regular when
+  Σ_{mu in L(pi)} d↓(mu) = Σ_{mu in L(pi)} (r(pi) - r(mu)).  This is exact
+  under the inequality "the up-degree of mu inside L(pi) is at least
+  r(pi) - r(mu)" for every mu <= pi: then equality holds exactly when every
+  mu meets it with equality, the Carrell-Peterson degree condition.  The
+  tests check the inequality over every pair to 2n = 10;
+- avoids: `avoids_all_bad`, element by element.
+
+Within a rank, bits are grouped by d↓ and each (rank, d↓) class starts on a
+byte, so one conversion to bytes gives the popcount of every class, and
+both the histogram and the edge count are sums of class popcounts.
+No order matrix is stored.  The tables of a degree (elements, ranks, covers
+and bit layout) are memoized; every survey rebuilds the lower sets.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import sys
 from dataclasses import dataclass
+from itertools import groupby
 
-import numpy as np
-from scipy import sparse
-
+from .bruhat import _walk
 from .involutions import (
-    DEFAULT_MAX_DEGREE,
     FpfInvolution,
+    InvolutionError,
     SizeLimitError,
-    all_transpositions,
-    enumerate_fpf,
+    _unpack,
     fpf_count,
-    rank,
-    _conjugate_word,
+    open_orbit,
 )
 from .patterns import avoids_all_bad
+
+# The largest degree a sweep covers: 135 135 involutions, about a minute
+# and a few hundred MB.  2n = 16 would walk 2 027 025.
+SWEEP_MAX_DEGREE = 14
+
+
+@dataclass(frozen=True)
+class ConjugationPairs:
+    """Size of the conjugation graph of a degree; its adjacency is not stored."""
+
+    # Ordered pairs (mu, nu) with nu = t*mu*t != mu: twice the edges.
+    nnz: int
 
 
 @dataclass(eq=False)
 class PosetTables:
     two_n: int
+    # In lexicographic word order; every other per-element tuple follows it.
     elements: tuple[FpfInvolution, ...]
-    index: dict[tuple[int, ...], int]
-    ranks: np.ndarray
-    # leq[m, p] is True iff elements[m] <= elements[p] in reverse order.
-    leq: np.ndarray
-    # 0/1 matrix; entry (m, v) set iff element v is a conjugate t*m*t != m.
-    neighbors: sparse.csr_matrix
+    ranks: tuple[int, ...]
+    # Number of distinct conjugates t*mu*t strictly below mu.
+    down_degree: tuple[int, ...]
+    # Indices of the conjugates of rank one less.
+    covers: tuple[tuple[int, ...], ...]
+    # Bit of each element in the lower-set ints.
+    bits: tuple[int, ...]
+    # Element indices of each rank.
+    levels: tuple[tuple[int, ...], ...]
+    # Per rank, (d↓, first byte, end byte) of each class of the rank's bits.
+    classes: tuple[tuple[tuple[int, int, int], ...], ...]
+    neighbors: ConjugationPairs
+    # No order matrix is stored (lower sets are rebuilt per survey), so the
+    # traced leq_bytes and leq_density read 0.
+    leq: None = None
 
 
 _TABLES: dict[int, PosetTables] = {}
-_WORK: dict = {}
-
-# Largest dense leq matrix a sweep may allocate: one byte per pair, so
-# 2n = 12 needs 108 MB and 2n = 14 would need 18.3 GB.
-DENSE_BUDGET_BYTES = 2_000_000_000
 
 
-def check_dense_budget(two_n: int) -> None:
-    """Refuse, before anything is enumerated, a degree whose leq matrix exceeds the budget."""
-    need = fpf_count(two_n // 2) ** 2
-    if need > DENSE_BUDGET_BYTES:
+def check_degree(two_n: int) -> None:
+    """Refuse, before any walk, a degree that is malformed or beyond the sweep's cap."""
+    if two_n < 2 or two_n % 2:
+        raise InvolutionError(f"a sweep needs a positive even degree, got {two_n}")
+    if two_n > SWEEP_MAX_DEGREE:
         raise SizeLimitError(
-            f"degree {two_n}: the dense order matrix needs {need / 1e9:.1f} GB,"
-            f" over the {DENSE_BUDGET_BYTES / 1e9:.1f} GB budget of the sweep"
+            f"degree {two_n}: a sweep would walk {fpf_count(two_n // 2)} involutions;"
+            f" sweeps stop at degree {SWEEP_MAX_DEGREE}"
         )
 
 
-def poset_tables(two_n: int, workers: int = 1, max_degree: int = DEFAULT_MAX_DEGREE) -> PosetTables:
+def poset_tables(two_n: int) -> PosetTables:
+    """Elements, ranks, covers and bit layout of one degree, built once per process."""
     cached = _TABLES.get(two_n)
     if cached is not None:
         return cached
-    check_dense_budget(two_n)
-    elements = enumerate_fpf(two_n // 2, max_degree)
-    index = {el.word: m for m, el in enumerate(elements)}
-    ranks = np.array([rank(el) for el in elements], dtype=np.int16)
-    counts = _prefix_count_matrix(elements, two_n)
-    leq = _leq_matrix(counts, workers)
-    neighbors = _neighbor_matrix(elements, index, two_n)
-    tables = PosetTables(two_n, elements, index, ranks, leq, neighbors)
+    check_degree(two_n)
+    tables = _build_tables(two_n)
     _TABLES[two_n] = tables
     return tables
 
 
-def _prefix_count_matrix(elements: tuple[FpfInvolution, ...], two_n: int) -> np.ndarray:
-    # Row m holds the flattened table c(i, v) = #{k <= i : word[k] <= v};
-    # comparison of two such tables decides prefix dominance.
-    out = np.empty((len(elements), two_n * two_n), dtype=np.int8)
-    for m, el in enumerate(elements):
-        hits = np.zeros((two_n, two_n), dtype=np.int16)
-        hits[np.arange(two_n), np.array(el.word) - 1] = 1
-        out[m] = hits.cumsum(axis=0).cumsum(axis=1).astype(np.int8).ravel()
-    return out
+def _build_tables(two_n: int) -> PosetTables:
+    ranks_by_word, edges, ends = _walk(open_orbit(two_n // 2), SWEEP_MAX_DEGREE)
+    # Packed words compare as the words do, so sorting them is lexicographic.
+    words = sorted(ranks_by_word)
+    index = {p: m for m, p in enumerate(words)}
+    ranks = [ranks_by_word[p] for p in words]
+    down_degree = [0] * len(words)
+    covers: list[tuple[int, ...]] = [()] * len(words)
+    start = 0
+    for p, end in zip(ranks_by_word, ends):  # the walk's order
+        m = index[p]
+        below = ranks[m] - 1
+        down_degree[m] = end - start
+        covers[m] = tuple(index[v] for v in edges[start:end] if ranks_by_word[v] == below)
+        start = end
+
+    levels: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for m, r in enumerate(ranks):
+        levels[r].append(m)
+    bits = [0] * len(words)
+    classes = []
+    bit = 0
+    for level in levels:
+        level.sort(key=down_degree.__getitem__)  # stable: words stay sorted within a class
+        runs = []
+        for d, group in groupby(level, key=down_degree.__getitem__):
+            first_byte = -(-bit // 8)
+            bit = 8 * first_byte
+            for m in group:
+                bits[m] = bit
+                bit += 1
+            runs.append((d, first_byte, -(-bit // 8)))
+        classes.append(tuple(runs))
+
+    elements = tuple(FpfInvolution(_unpack(p, two_n)) for p in words)
+    return PosetTables(
+        two_n,
+        elements,
+        tuple(ranks),
+        tuple(down_degree),
+        tuple(covers),
+        tuple(bits),
+        tuple(map(tuple, levels)),
+        tuple(classes),
+        ConjugationPairs(2 * len(edges)),
+    )
 
 
-def _leq_block(bounds: tuple[int, int]) -> tuple[int, np.ndarray]:
-    lo, hi = bounds
-    counts = _WORK["counts"]
-    block = np.empty((counts.shape[0], hi - lo), dtype=bool)
-    for p in range(lo, hi):
-        block[:, p - lo] = (counts[p] >= counts).all(axis=1)
-    return lo, block
+def _lower_sets(tables: PosetTables):
+    """Yield (element index, lower set) level by level, in increasing rank.
 
-
-def _leq_matrix(counts: np.ndarray, workers: int) -> np.ndarray:
-    n_elems = counts.shape[0]
-    leq = np.empty((n_elems, n_elems), dtype=bool)
-    chunks = _chunk_ranges(n_elems, workers)
-    for lo, block in _map_ordered(_leq_block, chunks, workers, {"counts": counts}):
-        leq[:, lo : lo + block.shape[1]] = block
-    return leq
-
-
-def _neighbor_matrix(
-    elements: tuple[FpfInvolution, ...],
-    index: dict[tuple[int, ...], int],
-    two_n: int,
-) -> sparse.csr_matrix:
-    transpositions = [(t.a, t.d) for t in all_transpositions(two_n)]
-    rows: list[int] = []
-    cols: list[int] = []
-    for m, el in enumerate(elements):
-        seen = set()
-        for a, d in transpositions:
-            w2 = _conjugate_word(el.word, a, d)
-            if w2 != el.word:
-                seen.add(index[w2])
-        rows.extend([m] * len(seen))
-        cols.extend(sorted(seen))
-    data = np.ones(len(rows), dtype=np.float64)
-    n_elems = len(elements)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n_elems, n_elems))
+    The lower set is an int with bit ``tables.bits[m]`` set for each member m.
+    Only the previous level's sets are kept.
+    """
+    bits, covers = tables.bits, tables.covers
+    below: dict[int, int] = {}
+    for level in tables.levels:
+        current = {}
+        for m in level:
+            lower = 1 << bits[m]
+            for c in covers[m]:
+                lower |= below[c]
+            current[m] = lower
+            yield m, lower
+        below = current
 
 
 @dataclass(frozen=True)
@@ -141,57 +192,26 @@ class OrbitSurveyRow:
         return self.avoids == self.palindromic == self.regular
 
 
-def _survey_block(bounds: tuple[int, int]) -> tuple[int, list[OrbitSurveyRow]]:
-    lo, hi = bounds
-    tables: PosetTables = _WORK["tables"]
-    block = tables.leq[:, lo:hi]
-    degrees = tables.neighbors @ block.astype(np.float64)
-    rows = []
-    for p in range(lo, hi):
-        members = block[:, p - lo]
-        top_rank = int(tables.ranks[p])
-        regular = bool((degrees[members, p - lo] == top_rank).all())
-        hist = np.bincount(tables.ranks[members].astype(np.int64))
-        palindromic = bool(np.array_equal(hist, hist[::-1]))
-        avoids = avoids_all_bad(tables.elements[p])
-        rows.append(
-            OrbitSurveyRow(str(tables.elements[p]), top_rank, avoids, palindromic, regular)
-        )
-    return lo, rows
-
-
-def theorem_survey(two_n: int, workers: int = 1) -> tuple[OrbitSurveyRow, ...]:
-    """Avoidance, palindromicity, and regularity verdicts for all of I_2n."""
-    tables = poset_tables(two_n, workers)
-    n_elems = len(tables.elements)
-    merged: list[OrbitSurveyRow] = []
-    chunks = _chunk_ranges(n_elems, workers, target=1024)
-    for _, rows in _map_ordered(_survey_block, chunks, workers, {"tables": tables}):
-        merged.extend(rows)
-    return tuple(merged)
-
-
-def _chunk_ranges(total: int, workers: int, target: int = 4096) -> list[tuple[int, int]]:
-    width = max(1, min(target, -(-total // max(1, workers))))
-    return [(lo, min(lo + width, total)) for lo in range(0, total, width)]
-
-
-def _map_ordered(fn, chunks, workers: int, work: dict):
-    """Run fn over chunks, optionally on a fork pool, yielding in chunk order."""
-    _WORK.clear()
-    _WORK.update(work)
-    try:
-        if workers > 1 and len(chunks) > 1:
-            try:
-                ctx = multiprocessing.get_context("fork")
-                with ctx.Pool(processes=workers) as pool:
-                    results = pool.map(fn, chunks)
-                results.sort(key=lambda pair: pair[0])
-                yield from results
-                return
-            except (OSError, ValueError) as exc:
-                print(f"worker pool unavailable ({exc}); running serially", file=sys.stderr)
-        for chunk in chunks:
-            yield fn(chunk)
-    finally:
-        _WORK.clear()
+def theorem_survey(two_n: int) -> tuple[OrbitSurveyRow, ...]:
+    """Avoidance, palindromicity, and regularity verdicts for all of I_2n, in word order."""
+    tables = poset_tables(two_n)
+    ranks, classes = tables.ranks, tables.classes
+    # Byte spans (rank, d↓, first, end) of the ranks up to each rank.
+    spans = [[(r, d, lo, hi) for r in range(top + 1) for d, lo, hi in classes[r]] for top in range(len(classes))]
+    verdicts: list[tuple[bool, bool]] = [(False, False)] * len(ranks)
+    for m, lower in _lower_sets(tables):
+        top = ranks[m]
+        by_class = spans[top]
+        packed = lower.to_bytes(by_class[-1][3], "little")
+        hist = [0] * (top + 1)
+        edges = 0
+        for r, d, lo, hi in by_class:
+            count = int.from_bytes(packed[lo:hi], "little").bit_count()
+            hist[r] += count
+            edges += d * count
+        gaps = sum((top - r) * h for r, h in enumerate(hist))
+        verdicts[m] = (hist == hist[::-1], edges == gaps)
+    return tuple(
+        OrbitSurveyRow(str(el), r, avoids_all_bad(el), palindromic, regular)
+        for el, r, (palindromic, regular) in zip(tables.elements, ranks, verdicts)
+    )

@@ -5,7 +5,8 @@ different from the library code: enumeration by filtering, Bruhat order via
 the subword property and by its definition (upper sets closed under
 length-raising transpositions), conjugation by composing permutations,
 pattern containment over raw index subsets, matrix rank by plain rational
-elimination, and poset grading by longest chains.
+elimination, poset grading by longest chains, and the whole-degree sweep
+columns by dense numpy matrices (small degrees only).
 """
 
 from __future__ import annotations
@@ -221,3 +222,64 @@ def conjugates_below(w: tuple[int, ...]) -> set[tuple[int, ...]]:
         for d in range(a + 1, m + 1)
         if w[a - 1] < w[d - 1]
     }
+
+
+def dense_leq(words: list[tuple[int, ...]]):
+    """leq[m, p] is True iff words[m] <= words[p] in reverse order, as one
+    numpy matrix: each word's table c(i, v) = #{k <= i : w(k) <= v} is
+    compared with every other at once.  Prefix dominance in count form:
+    mu <= pi iff c_pi >= c_mu entrywise.  One byte per pair, so only for
+    small degrees."""
+    import numpy as np
+
+    two_n = len(words[0])
+    counts = np.empty((len(words), two_n * two_n), dtype=np.int8)
+    for m, w in enumerate(words):
+        hits = np.zeros((two_n, two_n), dtype=np.int16)
+        hits[np.arange(two_n), np.array(w) - 1] = 1
+        counts[m] = hits.cumsum(axis=0).cumsum(axis=1).astype(np.int8).ravel()
+    leq = np.empty((len(words), len(words)), dtype=bool)
+    for p in range(len(words)):
+        leq[:, p] = (counts[p] >= counts).all(axis=1)
+    return leq
+
+
+def dense_neighbors(words: list[tuple[int, ...]]):
+    """0/1 numpy matrix with entry (m, v) set iff words[v] = t*words[m]*t != words[m]."""
+    import numpy as np
+
+    index = {w: m for m, w in enumerate(words)}
+    two_n = len(words[0])
+    nb = np.zeros((len(words), len(words)), dtype=np.float64)
+    for m, w in enumerate(words):
+        for a in range(1, two_n):
+            for d in range(a + 1, two_n + 1):
+                v = conjugate_by(w, a, d)
+                if v != w:
+                    nb[m, index[v]] = 1
+    return nb
+
+
+def dense_survey(two_n: int):
+    """The whole-degree columns by dense matrices, for 2n <= 10.
+
+    Returns the sorted words, their ranks, and per word (palindromic,
+    regular): the rank histogram of the lower interval reads the same
+    reversed, and every vertex of the interval's conjugation graph has
+    degree equal to the top's rank.
+    """
+    import numpy as np
+
+    words = fpf_words(two_n)
+    ranks = np.array([inversion_rank(w) for w in words])
+    leq = dense_leq(words)
+    nb = dense_neighbors(words)
+    degrees = nb @ leq.astype(np.float64)  # exact: integers far below 2**53
+    columns = []
+    for p in range(len(words)):
+        members = leq[:, p]
+        hist = np.bincount(ranks[members])
+        columns.append(
+            (bool(np.array_equal(hist, hist[::-1])), bool((degrees[members, p] == ranks[p]).all()))
+        )
+    return words, ranks.tolist(), columns

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sporbits import sweep
+from sporbits import cli, sweep
 from sporbits.cli import main
 from sporbits.patterns import BOTTOM_VERTEX_TABLE
 from sporbits.geometry import flag_to_json, gram_basis_flag
@@ -275,11 +275,12 @@ class TestVerifyTheorem:
         assert per_degree[8]["count"] == 105
         assert per_degree[8]["smooth"] == 68
 
-    def test_worker_count_does_not_change_output(self, capsys):
-        code1, out1, _ = run(capsys, "verify-theorem", "--degree", "8", "--output", "json", "--workers", "1")
-        code2, out2, _ = run(capsys, "verify-theorem", "--degree", "8", "--output", "json", "--workers", "2")
+    def test_json_output_repeats_without_workers_key(self, capsys):
+        code1, out1, _ = run(capsys, "verify-theorem", "--degree", "8", "--output", "json")
+        code2, out2, _ = run(capsys, "verify-theorem", "--degree", "8", "--output", "json")
         assert code1 == code2 == 0
-        assert out1.replace('"workers": 1', '"workers": 2') == out2
+        assert out1 == out2
+        assert set(json.loads(out1)) == {"schema", "max_degree", "seed", "degrees", "ok"}
 
     def test_text_mode(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--degree", "4")
@@ -294,14 +295,23 @@ class TestVerifyTheorem:
 
     def test_dense_sweep_over_budget_refused_up_front(self, capsys, monkeypatch):
         def no_sweep(*args, **kwargs):
-            raise AssertionError("no degree may be swept before the budget check")
+            raise AssertionError("no degree may be swept before the size check")
 
         monkeypatch.setattr(sweep, "theorem_survey", no_sweep)
-        code, out, err = run(capsys, "verify-theorem", "--degree", "14", "--max-degree-override", "14")
+        code, out, err = run(capsys, "verify-theorem", "--degree", "16", "--max-degree-override", "16")
         assert code == 3
         assert out == ""
-        assert "18.3 GB" in err and "budget" in err
+        assert "hard maximum 14" in err
+        # The sweep's own cap refuses 16 even where the CLI's cap allows it.
+        monkeypatch.setattr(cli, "HARD_MAX_DEGREE", 16)
+        code, out, err = run(capsys, "verify-theorem", "--degree", "16", "--max-degree-override", "16")
+        assert code == 3
+        assert out == ""
+        assert "2027025 involutions" in err and "stop at degree 14" in err
 
     def test_bad_workers(self, capsys):
-        code, _, err = run(capsys, "verify-theorem", "--degree", "4", "--workers", "0")
-        assert code == 2
+        # --workers is gone: the sweep runs serially, so the flag is refused.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theorem", "--degree", "4", "--workers", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
