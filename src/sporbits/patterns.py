@@ -9,6 +9,9 @@ The 17 obstruction patterns listed here are exactly the ones whose presence
 makes an orbit closure rationally singular; everything downstream
 (`avoids_all_bad`, the factorization refusal, the irregular-vertex
 certificate) is driven by this list.
+
+`avoiders` gives the whole set of avoiders of a degree at once, built from
+the degree below by inserting one arc, for the exhaustive sweep.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .involutions import FpfInvolution, InvolutionError
+from .involutions import FpfInvolution, InvolutionError, SizeLimitError
 
 BAD_PATTERN_WORDS: tuple[str, ...] = (
     "351624",
@@ -41,6 +44,9 @@ BAD_PATTERN_WORDS: tuple[str, ...] = (
 BAD_PATTERNS: tuple[FpfInvolution, ...] = tuple(
     FpfInvolution(tuple(int(c) for c in s)) for s in BAD_PATTERN_WORDS
 )
+
+# The largest degree `avoiders` builds: 30 088 avoiders at 2n = 16.
+AVOIDERS_MAX_DEGREE = 16
 
 # Audit data for the obstruction patterns: poset rank and the labels of the
 # edges incident to the bottom vertex of the full interval graph.  This is a
@@ -155,6 +161,70 @@ def bad_pattern_witness(host: FpfInvolution) -> PatternWitness | None:
 def avoids_all_bad(host: FpfInvolution) -> bool:
     """True iff the host contains none of the 17 obstruction patterns."""
     return bad_pattern_witness(host) is None
+
+
+_AVOIDERS: dict[int, frozenset[tuple[int, ...]]] = {2: frozenset({(2, 1)})}
+
+
+def avoiders(two_n: int) -> frozenset[tuple[int, ...]]:
+    """The words of degree two_n that contain none of the 17 obstruction patterns.
+
+    These are the "avoiders": the set equals filtering every involution by
+    `avoids_all_bad`, which stays the per-element path.  Each degree is built
+    once per process from the degree below.  An occurrence is a set of arcs,
+    so deleting an arc of an avoider leaves an avoider.  Conversely, if every
+    arc deletion of v is an avoider, an occurrence in v cannot miss an arc
+    (it would lie in v minus that arc), so it is all of v: v is an avoider
+    unless it is itself one of the patterns.  Each candidate v is made once,
+    by inserting an arc (1, j) into an avoider one degree lower, and kept
+    when its other arc deletions are avoiders too.
+
+    >>> sorted(avoiders(4))
+    [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
+    """
+    found = _AVOIDERS.get(two_n)
+    if found is not None:
+        return found
+    if two_n < 2 or two_n % 2:
+        raise InvolutionError(f"avoiders need a positive even degree, got {two_n}")
+    if two_n > AVOIDERS_MAX_DEGREE:
+        raise SizeLimitError(f"degree {two_n} exceeds the avoider cap {AVOIDERS_MAX_DEGREE}")
+    below = avoiders(two_n - 2)
+    bad = {pat.word for pat in BAD_PATTERNS}
+    # drop[a, d][x]: letter x renumbered once the arc (a, d) is deleted.
+    drop = {
+        (a, d): [x - (x > a) - (x > d) for x in range(two_n + 1)]
+        for a in range(2, two_n)
+        for d in range(a + 1, two_n + 1)
+    }
+    found = frozenset(
+        v
+        for v in _first_arc_insertions(below, two_n)
+        if v not in bad and all(u in below for u in _other_arc_deletions(v, drop))
+    )
+    _AVOIDERS[two_n] = found
+    return found
+
+
+def _first_arc_insertions(words: frozenset[tuple[int, ...]], two_n: int):
+    """Each word of degree two_n whose arc at position 1 deletes to one of the
+    given words of degree two_n - 2, once."""
+    for j in range(2, two_n + 1):
+        # Old letter x becomes x + 1 or x + 2 around the new letters 1 and j.
+        shift = [x + 1 + (x >= j - 1) for x in range(two_n - 1)]
+        for w in words:
+            t = tuple(map(shift.__getitem__, w))
+            yield (j,) + t[: j - 2] + (1,) + t[j - 2 :]
+
+
+def _other_arc_deletions(v: tuple[int, ...], drop: dict):
+    """The word v with each of its arcs (a, d), a > 1, deleted in turn."""
+    for a, d in enumerate(v, 1):
+        if 1 < a < d:
+            down = drop[a, d]
+            # Positions a and d hold the values d and a, so dropping those
+            # values drops those positions.
+            yield tuple([down[x] for x in v if x != a and x != d])
 
 
 def irregular_certificate(host: FpfInvolution, witness: PatternWitness) -> FpfInvolution:

@@ -1,8 +1,8 @@
 """Whole-poset sweeps backing `verify-theorem`.
 
-The per-element functions in `bruhat` and `graphs` are the reference path;
-this module computes the same three verdicts for every involution of a
-degree in one pass, in pure Python.
+The per-element functions in `bruhat`, `graphs` and `patterns` are the
+reference path; this module computes the same three verdicts for every
+involution of a degree in one pass, in pure Python.
 
 The degree is walked once from its top, the open orbit, down conjugation
 edges (`bruhat._walk`; Richardson-Springer, Hultman), which gives every
@@ -11,7 +11,7 @@ those conjugates whose rank is one less, and the lower set is
 L(pi) = {pi} ∪ ⋃ L(c) over the covers c of pi.  Each L(pi) is a Python int
 used as a bitset, with bits in rank-major order; the sets are built in
 increasing rank, and each level is dropped once the level above it is
-built.  Every column is then read off popcounts:
+built.  The columns:
 
 - palindromic: the rank histogram of L(pi), the popcounts of L(pi) under
   each rank mask, reads the same reversed;
@@ -24,8 +24,14 @@ built.  Every column is then read off popcounts:
   under the inequality "the up-degree of mu inside L(pi) is at least
   r(pi) - r(mu)" for every mu <= pi: then equality holds exactly when every
   mu meets it with equality, the Carrell-Peterson degree condition.  The
-  tests check the inequality over every pair to 2n = 10;
-- avoids: `avoids_all_bad`, element by element.
+  tests check the inequality over every pair to 2n = 10.  But every element
+  has exactly r(mu) conjugates below it, d↓ = rank (the tests check this at
+  every element to 2n = 12), so the test reads Σ r(mu) = Σ (r(pi) - r(mu)):
+  the histogram's mean rank is r(pi)/2, which every palindromic histogram
+  has.  The column is implied by the palindromic one and cannot report a
+  palindromic but irregular pi, so the sweep is in effect a two-way check;
+- avoids: membership in `patterns.avoiders`, the avoider set of the degree
+  built by arc insertion; `avoids_all_bad` stays the per-element path.
 
 Within a rank, bits are grouped by d↓ and each (rank, d↓) class starts on a
 byte, so one conversion to bytes gives the popcount of every class, and
@@ -48,10 +54,10 @@ from .involutions import (
     fpf_count,
     open_orbit,
 )
-from .patterns import avoids_all_bad
+from .patterns import avoiders
 
-# The largest degree a sweep covers: 135 135 involutions, about a minute
-# and a few hundred MB.  2n = 16 would walk 2 027 025.
+# The largest degree a sweep covers: 135 135 involutions, about 15 s and a
+# few hundred MB.  2n = 16 would walk 2 027 025.
 SWEEP_MAX_DEGREE = 14
 
 
@@ -211,7 +217,8 @@ def theorem_survey(two_n: int) -> tuple[OrbitSurveyRow, ...]:
             edges += d * count
         gaps = sum((top - r) * h for r, h in enumerate(hist))
         verdicts[m] = (hist == hist[::-1], edges == gaps)
+    avoiding = avoiders(two_n)
     return tuple(
-        OrbitSurveyRow(str(el), r, avoids_all_bad(el), palindromic, regular)
+        OrbitSurveyRow(str(el), r, el.word in avoiding, palindromic, regular)
         for el, r, (palindromic, regular) in zip(tables.elements, ranks, verdicts)
     )

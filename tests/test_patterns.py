@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from sporbits.bruhat import reverse_leq
 from sporbits.graphs import local_degree_test
 from sporbits.involutions import (
+    FpfInvolution,
     InvolutionError,
+    SizeLimitError,
     enumerate_fpf,
     parse_involution,
     reverse_complement,
@@ -13,6 +16,7 @@ from sporbits.involutions import (
 from sporbits.patterns import (
     BAD_PATTERNS,
     PatternWitness,
+    avoiders,
     avoids_all_bad,
     bad_pattern_witness,
     includes_pattern,
@@ -20,7 +24,7 @@ from sporbits.patterns import (
     standardize,
 )
 
-from oracles import invariant_inclusion_witnesses
+from oracles import fpf_words, invariant_inclusion_witnesses
 
 p = parse_involution
 
@@ -153,6 +157,48 @@ class TestBadPatterns:
         for n in (1, 2):
             for pi in enumerate_fpf(n):
                 assert avoids_all_bad(pi)
+
+
+class TestAvoiders:
+    # "Avoiders" count the involutions that avoid all 17 patterns.  They are
+    # not an independently verified count of rationally smooth orbit closures.
+    AVOIDER_COUNTS = {2: 1, 4: 3, 6: 14, 8: 68, 10: 320, 12: 1472, 14: 6682}
+
+    def test_equal_per_element_filter(self):
+        for two_n in range(2, 13, 2):
+            expected = {w for w in fpf_words(two_n) if avoids_all_bad(FpfInvolution(w))}
+            assert avoiders(two_n) == expected, two_n
+
+    def test_equal_raw_index_subset_filter(self):
+        for two_n in (2, 4, 6, 8):
+            expected = {
+                w
+                for w in fpf_words(two_n)
+                if not any(invariant_inclusion_witnesses(w, b.word) for b in BAD_PATTERNS)
+            }
+            assert avoiders(two_n) == expected, two_n
+
+    def test_avoider_counts(self):
+        assert {two_n: len(avoiders(two_n)) for two_n in self.AVOIDER_COUNTS} == self.AVOIDER_COUNTS
+
+    @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+    def test_avoider_count_at_sixteen(self):
+        # avoids_all_bad over all 2 027 025 involutions of degree 16 also
+        # finds 30 088; that filter takes over ten minutes, so only the count
+        # is pinned here.
+        assert len(avoiders(16)) == 30_088
+
+    def test_closed_under_reverse_complement(self):
+        for two_n in range(2, 13, 2):
+            found = avoiders(two_n)
+            assert {reverse_complement(FpfInvolution(w)).word for w in found} == found
+
+    def test_degree_checks(self):
+        for two_n in (0, 3, -2):
+            with pytest.raises(InvolutionError, match="positive even degree"):
+                avoiders(two_n)
+        with pytest.raises(SizeLimitError, match="avoider cap 16"):
+            avoiders(18)
 
 
 class TestCertificate:

@@ -62,6 +62,13 @@ class TestTables:
             assert tables.neighbors.nnz == int(oracles.dense_neighbors(words).sum())
         assert sweep.poset_tables(12).neighbors.nnz == 311_850
 
+    def test_down_degree_equals_rank(self):
+        # Makes the edge-count regular column a consequence of the
+        # palindromic one (see the sweep module docstring).
+        for two_n in range(2, 13, 2):
+            tables = sweep.poset_tables(two_n)
+            assert tables.down_degree == tables.ranks, two_n
+
     def test_bits_are_rank_major_with_one_byte_span_per_class(self):
         tables = sweep.poset_tables(10)
         end = 0
@@ -144,7 +151,15 @@ def test_up_degree_at_least_rank_gap_over_every_pair(two_n):
     assert int(leq.sum()) == {2: 1, 4: 6, 6: 101, 8: 3490, 10: 207_738}[two_n]
 
 
-def test_dense_tables_over_budget_refused_before_enumeration(monkeypatch):
+@pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+def test_full_sweep_at_fourteen():
+    rows = sweep.theorem_survey(14)
+    assert len(rows) == 135_135
+    assert sum(row.palindromic for row in rows) == 6682
+    assert all(row.consistent for row in rows)
+
+
+def test_over_cap_degree_refused_before_walk(monkeypatch):
     def no_walk(*args, **kwargs):
         raise AssertionError("the size check must come before the walk")
 
