@@ -38,7 +38,7 @@ from .graphs import (
     rationally_singular_locus,
     to_dot,
 )
-from .geometry import FlagError, classify_flag, parse_flag_json
+from .geometry import FlagError, _corner_counts, classify_flag, parse_flag_json
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -321,10 +321,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         "rationally_smooth": smooth,
     }
     if args.grid:
-        from .geometry import mat_mul, mat_transpose, rank_grid, standard_form
-
-        gram = mat_mul(mat_mul(flag.rows, standard_form(flag.n)), mat_transpose(flag.rows))
-        grid = rank_grid(gram)
+        # classify_flag has checked the flag's rank grid equal to pi's grid c_pi.
+        grid = _corner_counts(pi.word, pi.degree)
         payload["grid"] = [list(row[1:]) for row in grid[1:]]
     if cfg.output == "json":
         _emit_json(payload)

@@ -1,12 +1,33 @@
-"""Exact-rational model of the flag side: skew form, flags, orbit classifier.
+"""Exact model of the flag side: skew form, flags, orbit classifier.
 
 A complete flag is stored as an invertible matrix of rationals whose row i
 spans the i-th step.  The orbit of a flag under the isometry group of the
 standard skew form is read off the ranks of the pairings V_i x V_j: the
 second differences of the rank grid cut out a fixed-point-free involution.
-All linear algebra is exact (integer cross-multiplication elimination after
-clearing denominators); floating point would misclassify near-degenerate
-flags, since rank is discontinuous.
+All linear algebra is exact; floating point would misclassify
+near-degenerate flags, since rank is discontinuous.
+
+- **Integer kernel.**  Every product, rank and grid runs on Python ints.
+  Scaling a row by a positive integer keeps the rank of every leading
+  corner, so denominators are cleared row by row (and, for the right factor
+  of a product, column by column).  Fractions appear only at the API's
+  edges: ``FlagMatrix.rows``, the matrices public functions return, and
+  JSON.  J is a signed antidiagonal, so F J is a signed column reversal of
+  F, and the Gram matrix of a flag is one integer product (F J) F^T.
+- **Rank-one updates.**  The transvection x -> x + c <x, v> v acts on row
+  vectors as I + c u v^T with u = J v, so a product S of transvections is
+  updated as S + c (S u) v^T, in O(m^2) per step instead of an O(m^3)
+  product.  S is kept as an integer matrix over one common denominator,
+  both divided by their gcd after every step.
+- **One-pass rank grid.**  Rows are reduced top-down, each against the
+  pivot rows above it only, and a row's pivot is its first nonzero column
+  after reduction.  This is row reduction by a lower-triangular matrix:
+  each reduced row is a nonzero multiple of its original row minus a
+  combination of the rows above it, so the first i reduced rows span the
+  first i original rows, corner by corner.  The reduced rows are zero before their pivots and the
+  pivots are distinct; restricted to the first j columns, the rows with
+  pivot <= j are independent and the rest vanish.  So the top-left i x j
+  corner has rank #{k <= i : pivot(k) <= j}, for every (i, j) at once.
 """
 
 from __future__ import annotations
@@ -15,7 +36,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
+from typing import Sequence
 
 from .involutions import FpfInvolution, InvolutionError
 
@@ -54,12 +78,30 @@ def identity_matrix(m: int) -> Matrix:
     )
 
 
+def _scaled(rows) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, as ints, and those lcms."""
+    ints, scales = [], []
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        ints.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return ints, scales
+
+
+def _integer_rows(m) -> list[list[int]]:
+    # Row scaling by positive integers preserves the rank of every leading
+    # corner, so clearing denominators rowwise is safe.
+    return _scaled(m)[0]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise FlagError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = tuple(zip(*b))
+    rows, row_scales = _scaled(a)
+    cols, col_scales = _scaled(tuple(zip(*b)))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+        tuple(Fraction(sum(map(mul, row, col)), rs * cs) for col, cs in zip(cols, col_scales))
+        for row, rs in zip(rows, row_scales)
     )
 
 
@@ -67,14 +109,16 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def _integer_rows(m: Matrix) -> list[list[int]]:
-    # Row scaling by positive integers preserves the rank of every leading
-    # corner, so clearing denominators rowwise is safe.
-    out = []
-    for row in m:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+def _times_form(row: list[int]) -> list[int]:
+    """row J: the row reversed, with its first half negated."""
+    n = len(row) // 2
+    rev = row[::-1]
+    return [-x for x in rev[:n]] + rev[n:]
+
+
+def _gram(rows: list[list[int]]) -> list[list[int]]:
+    """The pairing matrix (F J) F^T of integer rows."""
+    return [[sum(map(mul, x, y)) for y in rows] for x in map(_times_form, rows)]
 
 
 def _reduce_against(v: list[int], pivots: list[tuple[list[int], int]]) -> list[int]:
@@ -86,41 +130,62 @@ def _reduce_against(v: list[int], pivots: list[tuple[list[int], int]]) -> list[i
 
 
 def _normalize(v: list[int]) -> list[int]:
-    g = 0
-    for a in v:
-        g = gcd(g, a)
+    g = gcd(*v)
     if g > 1:
         v = [a // g for a in v]
     return v
 
 
-def _rank_profile(vectors: list[list[int]]) -> list[int]:
-    """Ranks of the spans of growing prefixes of a vector list."""
+def _pivots(rows: list[list[int]]) -> list[int | None]:
+    """Each row's pivot: its first nonzero column (1-based) after reduction
+    against the pivot rows above it, or None if it adds no rank."""
     pivots: list[tuple[list[int], int]] = []
-    ranks = []
-    for v in vectors:
-        v = _reduce_against(list(v), pivots)
+    found: list[int | None] = []
+    for v in rows:
+        v = _reduce_against(v, pivots)
         pidx = next((k for k, a in enumerate(v) if a), None)
         if pidx is not None:
             pivots.append((_normalize(v), pidx))
-        ranks.append(len(pivots))
-    return ranks
+        found.append(None if pidx is None else pidx + 1)
+    return found
+
+
+def _corner_counts(columns: Sequence[int | None], size: int) -> tuple[tuple[int, ...], ...]:
+    """grid[i][j] = #{k <= i : columns[k-1] <= j}, for 0 <= i, j <= size.
+
+    With pivot columns this is the rank grid; with the word of an involution
+    pi it is pi's grid c_pi.  A None column counts nowhere.
+    """
+    count = [0] * (size + 1)
+    grid = [tuple(count)]
+    for c in columns:
+        if c is not None:
+            for j in range(c, size + 1):
+                count[j] += 1
+        grid.append(tuple(count))
+    return tuple(grid)
 
 
 def matrix_rank(m: Matrix) -> int:
-    rows = _integer_rows(m)
-    return _rank_profile(rows)[-1] if rows else 0
+    return sum(p is not None for p in _pivots(_integer_rows(m)))
 
 
 def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
     """grid[i][j] = rank of the top-left i x j corner, for 0 <= i, j <= size."""
-    size = len(m)
-    rows = _integer_rows(m)
-    grid = [[0] * (size + 1)]
-    for i in range(1, size + 1):
-        cols = [[rows[r][j] for r in range(i)] for j in range(size)]
-        grid.append([0] + _rank_profile(cols))
-    return tuple(tuple(r) for r in grid)
+    return _corner_counts(_pivots(_integer_rows(m)), len(m))
+
+
+def _rational(x, i: int, j: int) -> Fraction:
+    # Fraction(True) == 1 and Fraction(0.1) is a binary fraction: booleans
+    # and floats are not rational entries here.
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, (bool, float)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError, TypeError):
+            pass
+    raise FlagError(f"bad rational at row {i}, column {j}: {x!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +197,7 @@ class FlagMatrix:
     def __post_init__(self) -> None:
         coerced = []
         for i, row in enumerate(self.rows, start=1):
-            coerced.append(tuple(Fraction(x) for x in row))
+            coerced.append(tuple(_rational(x, i, j) for j, x in enumerate(row, start=1)))
             if len(coerced[-1]) != len(self.rows):
                 raise FlagError(f"row {i} has {len(coerced[-1])} entries, expected {len(self.rows)}")
         rows = tuple(coerced)
@@ -161,9 +226,7 @@ def classify_flag(flag: FlagMatrix) -> FpfInvolution:
     involution is checked against the entire grid before being returned.
     """
     m = flag.size
-    form = standard_form(flag.n)
-    gram = mat_mul(mat_mul(flag.rows, form), mat_transpose(flag.rows))
-    grid = rank_grid(gram)
+    grid = rank_grid(_gram(_integer_rows(flag.rows)))
     word = []
     for i in range(1, m + 1):
         j = next((jj for jj in range(1, m + 1) if grid[i][jj] > grid[i - 1][jj]), None)
@@ -180,15 +243,12 @@ def classify_flag(flag: FlagMatrix) -> FpfInvolution:
 
 def _check_grid(pi: FpfInvolution, grid: tuple[tuple[int, ...], ...]) -> None:
     m = pi.degree
-    count = [0] * (m + 1)
+    expected = _corner_counts(pi.word, m)
     for i in range(1, m + 1):
-        v = pi.word[i - 1]
-        for j in range(v, m + 1):
-            count[j] += 1
         for j in range(1, m + 1):
-            if grid[i][j] != count[j]:
+            if grid[i][j] != expected[i][j]:
                 raise ConsistencyError(
-                    f"rank grid disagrees with {pi} at ({i},{j}): {grid[i][j]} vs {count[j]}"
+                    f"rank grid disagrees with {pi} at ({i},{j}): {grid[i][j]} vs {expected[i][j]}"
                 )
 
 
@@ -213,13 +273,13 @@ def gram_basis_flag(mu: FpfInvolution) -> FlagMatrix:
     is re-verified against the target before returning.
     """
     m = mu.degree
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for k, arc in enumerate(mu.arcs(), start=1):
-        rows[arc.a - 1][k - 1] = Fraction(1)
-        rows[arc.d - 1][m - k] = Fraction(1)
-    flag = FlagMatrix(tuple(tuple(r) for r in rows))
-    gram = mat_mul(mat_mul(flag.rows, standard_form(mu.n)), mat_transpose(flag.rows))
-    if gram != gram_target(mu):
+        rows[arc.a - 1][k - 1] = 1
+        rows[arc.d - 1][m - k] = 1
+    flag = FlagMatrix(tuple(map(tuple, rows)))
+    # The rows are integers, so their integer pairing matrix is the exact one.
+    if _gram(rows) != list(map(list, gram_target(mu))):
         raise ConsistencyError(f"gram matrix of constructed flag does not match target for {mu}")
     return flag
 
@@ -239,27 +299,37 @@ def random_symplectic(n: int, seed: int, transvections: int = 8) -> Matrix:
 
     Coefficients come from {1, -1, 1/2, -1/2, 2, -2} and v from small integer
     vectors; the generator is the stdlib Mersenne Twister, so a (n, seed,
-    transvections) triple fully determines the output.  The defining relation
-    S J S^T = J is asserted before returning.
+    transvections) triple fully determines the output.  The product is kept
+    as num / den with num an integer matrix, and each factor is applied as a
+    rank-one update.  The defining relation S J S^T = J is asserted, as
+    num J num^T = den^2 J, before returning.
     """
+    if n < 1:
+        raise FlagError(f"half-degree must be at least 1, got {n}")
     rng = random.Random(seed)
     m = 2 * n
-    form = standard_form(n)
-    s = identity_matrix(m)
+    num = [[int(a == b) for b in range(m)] for a in range(m)]
+    den = 1
     for _ in range(transvections):
         v = [0] * m
         while not any(v):
             v = [rng.randint(-2, 2) for _ in range(m)]
         c = rng.choice(_TRANSVECTION_COEFFS)
-        u = [sum(form[a][b] * v[b] for b in range(m)) for a in range(m)]
-        step = tuple(
-            tuple((Fraction(1) if a == b else Fraction(0)) + c * u[a] * v[b] for b in range(m))
-            for a in range(m)
-        )
-        s = mat_mul(s, step)
-    if mat_mul(mat_mul(s, form), mat_transpose(s)) != form:
+        u = [-x for x in _times_form(v)]  # J v
+        p, q = c.numerator, c.denominator
+        # S (I + c u v^T) = S + c (S u) v^T, over the common denominator q den.
+        for row in num:
+            k = p * sum(map(mul, row, u))
+            row[:] = [q * x + k * y for x, y in zip(row, v)]
+        den *= q
+        g = gcd(den, *chain.from_iterable(num))
+        if g > 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+    square = den * den
+    if _gram(num) != [_times_form([square * (a == b) for b in range(m)]) for a in range(m)]:
         raise ConsistencyError("transvection product is not symplectic")
-    return s
+    return tuple(tuple(Fraction(x, den) for x in row) for row in num)
 
 
 def transform_flag(flag: FlagMatrix, s: Matrix) -> FlagMatrix:
@@ -280,16 +350,4 @@ def parse_flag_json(text: str) -> FlagMatrix:
         raise FlagError(f"flag file is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise FlagError("flag file must be a JSON array of arrays")
-    rows = []
-    for i, row in enumerate(data, start=1):
-        parsed = []
-        for j, entry in enumerate(row, start=1):
-            try:
-                # Fraction(True) == 1: JSON booleans and floats are not rationals here.
-                parsed.append(None if isinstance(entry, (bool, float)) else Fraction(entry))
-            except (ValueError, ZeroDivisionError, TypeError):
-                parsed.append(None)
-            if parsed[-1] is None:
-                raise FlagError(f"bad rational at row {i}, column {j}: {entry!r}")
-        rows.append(tuple(parsed))
-    return FlagMatrix(tuple(rows))
+    return FlagMatrix(tuple(map(tuple, data)))

@@ -5,14 +5,18 @@ different from the library code: enumeration by filtering, Bruhat order via
 the subword property and by its definition (upper sets closed under
 length-raising transpositions), conjugation by composing permutations,
 pattern containment over raw index subsets, matrix rank by plain rational
-elimination, poset grading by longest chains, and the whole-degree sweep
-columns by dense numpy matrices (small degrees only).
+elimination, corner rank grids by one elimination per row count, products
+of symplectic transvections by full Fraction matrix products, poset grading
+by longest chains, and the whole-degree sweep columns by dense numpy
+matrices (small degrees only).
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def brute_force_fpf(n: int) -> set[tuple[int, ...]]:
@@ -155,6 +159,74 @@ def fraction_rank(rows: list[list[Fraction]]) -> int:
         if row == n_rows:
             break
     return rank
+
+
+def fraction_mat_mul(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """The matrix product by Fraction multiply-adds, entry by entry."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+        for row in a
+    )
+
+
+def _prefix_ranks(vectors: list[list[int]]) -> list[int]:
+    """Ranks of the spans of growing prefixes of a list of integer vectors."""
+    pivots: list[tuple[list[int], int]] = []
+    ranks = []
+    for v in vectors:
+        for pvec, pidx in pivots:
+            if v[pidx]:
+                c, p = v[pidx], pvec[pidx]
+                v = [a * p - b * c for a, b in zip(v, pvec)]
+        pidx = next((k for k, a in enumerate(v) if a), None)
+        if pidx is not None:
+            g = gcd(*v)
+            pivots.append(([a // g for a in v], pidx))
+        ranks.append(len(pivots))
+    return ranks
+
+
+def corner_rank_grid(m) -> tuple[tuple[int, ...], ...]:
+    """grid[i][j] = rank of the top-left i x j corner of a square matrix.
+
+    One elimination per i: the columns of the first i rows, cleared of
+    denominators row by row, are taken in order and their prefix ranks
+    give row i of the grid.
+    """
+    size = len(m)
+    rows = []
+    for row in m:
+        scale = lcm(*(Fraction(x).denominator for x in row))
+        rows.append([int(Fraction(x) * scale) for x in row])
+    grid = [[0] * (size + 1)]
+    for i in range(1, size + 1):
+        cols = [[rows[r][j] for r in range(i)] for j in range(size)]
+        grid.append([0] + _prefix_ranks(cols))
+    return tuple(tuple(r) for r in grid)
+
+
+TRANSVECTION_COEFFS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2), Fraction(2), Fraction(-2))
+
+
+def transvection_product(n: int, seed: int, transvections: int = 8) -> tuple[tuple[Fraction, ...], ...]:
+    """The seeded product of transvections I + c (J v) v^T, by full Fraction
+    matrix products, drawing v and c from the generator in the same order
+    as the library."""
+    rng = random.Random(seed)
+    m = 2 * n
+    form = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        form[i][m - 1 - i] = Fraction(1) if i < m - 1 - i else Fraction(-1)
+    s = tuple(tuple(Fraction(int(a == b)) for b in range(m)) for a in range(m))
+    for _ in range(transvections):
+        v = [0] * m
+        while not any(v):
+            v = [rng.randint(-2, 2) for _ in range(m)]
+        c = rng.choice(TRANSVECTION_COEFFS)
+        u = [sum(form[a][b] * v[b] for b in range(m)) for a in range(m)]
+        step = tuple(tuple(int(a == b) + c * u[a] * v[b] for b in range(m)) for a in range(m))
+        s = fraction_mat_mul(s, step)
+    return s
 
 
 def longest_chain_ranks(elements, leq) -> dict:

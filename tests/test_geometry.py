@@ -13,6 +13,7 @@ from sporbits.geometry import (
     identity_matrix,
     mat_mul,
     mat_transpose,
+    matrix_rank,
     parse_flag_json,
     random_symplectic,
     rank_grid,
@@ -21,7 +22,7 @@ from sporbits.geometry import (
 )
 from sporbits.involutions import enumerate_fpf, parse_involution, w0
 
-from oracles import fraction_rank
+from oracles import corner_rank_grid, fraction_mat_mul, fraction_rank, transvection_product
 
 p = parse_involution
 
@@ -82,6 +83,54 @@ class TestRankGrid:
                 assert grid[4][i] == i
 
 
+    def test_one_pass_equals_corner_oracle(self):
+        # Square rational matrices of size 1..8; a third get a row that is a
+        # combination of two earlier ones, a third are mostly zero.
+        rng = random.Random(29)
+        singular = 0
+        for size in range(1, 9):
+            for trial in range(9):
+                zero = 0.7 if trial % 3 == 1 else 0.2
+                rows = [
+                    [Fraction(0) if rng.random() < zero else Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                     for _ in range(size)]
+                    for _ in range(size)
+                ]
+                if trial % 3 == 0 and size >= 3:
+                    a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)
+                    rows[size - 1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+                m = tuple(map(tuple, rows))
+                singular += matrix_rank(m) < size
+                assert rank_grid(m) == corner_rank_grid(m), m
+        assert singular >= 10
+
+    def test_one_pass_equals_corner_oracle_on_basis_grams(self):
+        for n in range(1, 5):
+            for mu in enumerate_fpf(n):
+                flag = gram_basis_flag(mu)
+                gram = mat_mul(mat_mul(flag.rows, standard_form(n)), mat_transpose(flag.rows))
+                assert rank_grid(gram) == corner_rank_grid(gram), mu
+
+
+class TestMatMul:
+    def test_equals_fraction_product_with_mixed_denominators(self):
+        rng = random.Random(31)
+        for rows, inner, cols in ((1, 1, 1), (2, 3, 4), (4, 4, 4), (5, 2, 3), (12, 12, 12)):
+            a = tuple(
+                tuple(rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 12))))
+                      for _ in range(inner))
+                for _ in range(rows)
+            )
+            b = tuple(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(cols)) for _ in range(inner))
+            product = mat_mul(a, b)
+            assert product == fraction_mat_mul(a, b)
+            assert all(type(x) is Fraction for row in product for x in row)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(FlagError, match="shape mismatch: 2x3 times 2x2"):
+            mat_mul(((1, 2, 3), (4, 5, 6)), ((1, 0), (0, 1)))
+
+
 class TestClassify:
     def test_identity_flag_is_closed_orbit(self):
         assert classify_flag(_identity_flag(4)) == p("4321")
@@ -122,6 +171,16 @@ class TestClassify:
         with pytest.raises(FlagError, match="singular"):
             FlagMatrix(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)))
 
+    def test_booleans_rejected(self):
+        # Fraction(True) == 1; a flag of booleans is not a rational flag.
+        with pytest.raises(FlagError, match="bad rational at row 1, column 1: True"):
+            FlagMatrix(((True, 0), (0, 1)))
+
+    def test_floats_rejected(self):
+        # Fraction(0.1) is the binary float, not 1/10.
+        with pytest.raises(FlagError, match="bad rational at row 2, column 2: 0.1"):
+            FlagMatrix(((1, 0), (0, 0.1)))
+
     def test_shape_errors(self):
         with pytest.raises(FlagError, match="row 1"):
             FlagMatrix(((1, 0), (0, 1), (0, 0)))
@@ -159,6 +218,15 @@ class TestRandomSymplectic:
 
     def test_zero_transvections_is_identity(self):
         assert random_symplectic(2, seed=5, transvections=0) == identity_matrix(4)
+        for n in range(1, 7):
+            assert random_symplectic(n, seed=5, transvections=0) == transvection_product(n, 5, 0)
+
+    def test_equals_fraction_product_oracle(self):
+        for n in range(1, 7):
+            for seed in range(10):
+                s = random_symplectic(n, seed)
+                assert s == transvection_product(n, seed), (n, seed)
+                assert all(type(x) is Fraction for row in s for x in row)
 
     def test_deterministic(self):
         assert random_symplectic(2, seed=42) == random_symplectic(2, seed=42)

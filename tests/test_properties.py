@@ -1,4 +1,5 @@
-"""Property tests (hypothesis) for the facts the avoider sets rest on."""
+"""Property tests (hypothesis): the facts the avoider sets rest on, and the
+flag classifier's invariance under the symplectic group."""
 
 import pytest
 
@@ -6,6 +7,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from sporbits.geometry import (  # noqa: E402
+    classify_flag,
+    flag_to_json,
+    gram_basis_flag,
+    parse_flag_json,
+    random_symplectic,
+    transform_flag,
+)
 from sporbits.involutions import FpfInvolution, delete_pair_standardize, reverse_complement  # noqa: E402
 from sporbits.patterns import avoiders, avoids_all_bad  # noqa: E402
 
@@ -68,3 +77,13 @@ def test_reverse_complement_preserves_avoiders(word):
     found = avoiders(len(word))
     flipped = reverse_complement(FpfInvolution(word)).word
     assert (flipped in found) == (word in found) == avoids_all_bad(FpfInvolution(word))
+
+
+@PROPERTY
+@given(involution_words(1, 6), st.integers(0, 2**31 - 1))
+def test_classifier_is_invariant_under_the_symplectic_group(word, seed):
+    mu = FpfInvolution(word)
+    flag = transform_flag(gram_basis_flag(mu), random_symplectic(mu.n, seed))
+    parsed = parse_flag_json(flag_to_json(flag))
+    assert parsed.rows == flag.rows
+    assert classify_flag(parsed) == mu
