@@ -6,44 +6,61 @@ involution of a degree in one pass, in pure Python.
 
 The degree is walked once from its top, the open orbit, down conjugation
 edges (`bruhat._walk`; Richardson-Springer, Hultman), which gives every
-element with its rank and its conjugates below it.  The covers of pi are
-those conjugates whose rank is one less, and the lower set is
-L(pi) = {pi} ∪ ⋃ L(c) over the covers c of pi.  Each L(pi) is a Python int
-used as a bitset, with bits in rank-major order; the sets are built in
-increasing rank, and each level is dropped once the level above it is
-built.  The columns:
+element with its rank and its conjugates below it.  The upper covers of mu
+are the conjugates above it whose rank is one more, and the up-set is
+U(mu) = {mu} ∪ ⋃ U(c) over the upper covers c of mu.  Each U(mu) is a
+Python int used as a bitset, with the elements numbered in descending
+rank-major order, so the up-sets of rank r fit in the bits of the ranks
+>= r.  The sets are built from the top rank down, and each level is dropped
+once the level below it is built.
 
-- palindromic: the rank histogram of L(pi), the popcounts of L(pi) under
-  each rank mask, reads the same reversed;
-- regular, an edge-count test: the conjugation edges inside L(pi) number
-  Σ_{mu in L(pi)} d↓(mu), with d↓ the number of conjugates below mu (a lower
-  set holds every edge below its members).  Each such edge is also an
-  up-edge of its lower end, so the same count is the sum over mu of mu's
-  up-degree inside L(pi), and pi is called regular when
-  Σ_{mu in L(pi)} d↓(mu) = Σ_{mu in L(pi)} (r(pi) - r(mu)).  This is exact
-  under the inequality "the up-degree of mu inside L(pi) is at least
-  r(pi) - r(mu)" for every mu <= pi: then equality holds exactly when every
-  mu meets it with equality, the Carrell-Peterson degree condition.  The
-  tests check the inequality over every pair to 2n = 10.  But every element
-  has exactly r(mu) conjugates below it, d↓ = rank (the tests check this at
-  every element to 2n = 12), so the test reads Σ r(mu) = Σ (r(pi) - r(mu)):
-  the histogram's mean rank is r(pi)/2, which every palindromic histogram
-  has.  The column is implied by the palindromic one and cannot report a
-  palindromic but irregular pi, so the sweep is in effect a two-way check;
+No histogram is read per element.  Every column comes from bit-sliced
+counters (Knuth, TAOCP 4A §7.1.3): a counter holds one small count per
+element as a list of ints, bit-plane b holding bit b of every count, so a
+few bitwise operations on whole planes update all the counts at once.  For
+each class of elements of equal rank k and down-degree d↓ (the number of
+conjugates below), one counter holds #{mu in the class : mu <= pi} at bit
+pi; adding U(mu) into its class's counter is a ripple increment that stops
+once the carry is 0.  The counters of rank k sum to the rank histogram
+h_k(pi) = #{mu of rank k : mu <= pi}.  The columns:
+
+- palindromic: pi of rank r is palindromic when h_k(pi) = h_{r-k}(pi) for
+  every k.  Two counters agree at pi exactly when every plane agrees there
+  (the planes are the binary digits; a missing plane reads 0), so the OR
+  over k and b of the XOR of the planes b of h_k and h_{r-k}, read at the
+  bits of rank r, is exactly the set of non-palindromic elements;
+- regular, an edge-count test: the conjugation edges inside L(pi), the
+  lower set of pi, number E(pi) = Σ_{mu in L(pi)} d↓(mu) (a lower set holds
+  every edge below its members).  Each such edge is also an up-edge of its
+  lower end, so the same count is the sum over mu of mu's up-degree inside
+  L(pi), and pi is called regular when E(pi) = Σ_{mu in L(pi)} (r - r(mu)),
+  that is E(pi) + A(pi) = r T(pi) with A(pi) = Σ_{mu in L(pi)} r(mu) and
+  T(pi) = |L(pi)|.  E + A is the sum of the class counters weighted by
+  d↓ + rank and T the sum of all of them, both built with bit-sliced adds
+  and constant multiplies; r T is compared with E + A at the bits of rank r
+  by the same XOR test.  The column is exact under the inequality "the
+  up-degree of mu inside L(pi) is at least r - r(mu)" for every mu <= pi:
+  then equality holds exactly when every mu meets it with equality, the
+  Carrell-Peterson degree condition.  The tests check the inequality over
+  every pair to 2n = 10.  But every element has exactly r(mu) conjugates
+  below it, d↓ = rank (the tests check this at every element to 2n = 12,
+  and at 2n = 14 in a slow test), so the test reads
+  Σ r(mu) = Σ (r - r(mu)): the histogram's mean rank is r/2, which every
+  palindromic histogram has.  The column is implied by the
+  palindromic one and cannot report a palindromic but irregular pi, so the
+  sweep is in effect a two-way check.  It still weights by the tables' own
+  d↓ and does not assume d↓ = rank;
 - avoids: membership in `patterns.avoiders`, the avoider set of the degree
   built by arc insertion; `avoids_all_bad` stays the per-element path.
 
-Within a rank, bits are grouped by d↓ and each (rank, d↓) class starts on a
-byte, so one conversion to bytes gives the popcount of every class, and
-both the histogram and the edge count are sums of class popcounts.
-No order matrix is stored.  The tables of a degree (elements, ranks, covers
-and bit layout) are memoized; every survey rebuilds the lower sets.
+No order matrix is stored.  The tables of a degree (elements, ranks, upper
+covers) are memoized; every survey rebuilds the up-sets and counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import zip_longest
 
 from .bruhat import _walk
 from .involutions import (
@@ -56,8 +73,10 @@ from .involutions import (
 )
 from .patterns import avoiders
 
-# The largest degree a sweep covers: 135 135 involutions, about 15 s and a
-# few hundred MB.  2n = 16 would walk 2 027 025.
+# The largest degree a sweep covers: 135 135 involutions, about 14 s and
+# 320 MB for a fresh `verify-theorem --degree 14` (2 cores, Python 3.11),
+# most of the memory held while the tables are built from the walk.  2n = 16
+# would walk 2 027 025.
 SWEEP_MAX_DEGREE = 14
 
 
@@ -74,19 +93,17 @@ class PosetTables:
     two_n: int
     # In lexicographic word order; every other per-element tuple follows it.
     elements: tuple[FpfInvolution, ...]
+    # The words packed as in `involutions._pack`.
+    packed: tuple[int, ...]
     ranks: tuple[int, ...]
     # Number of distinct conjugates t*mu*t strictly below mu.
     down_degree: tuple[int, ...]
-    # Indices of the conjugates of rank one less.
-    covers: tuple[tuple[int, ...], ...]
-    # Bit of each element in the lower-set ints.
-    bits: tuple[int, ...]
-    # Element indices of each rank.
+    # Indices of the conjugates of rank one more.
+    upper_covers: tuple[tuple[int, ...], ...]
+    # Element indices of each rank, in word order.
     levels: tuple[tuple[int, ...], ...]
-    # Per rank, (d↓, first byte, end byte) of each class of the rank's bits.
-    classes: tuple[tuple[tuple[int, int, int], ...], ...]
     neighbors: ConjugationPairs
-    # No order matrix is stored (lower sets are rebuilt per survey), so the
+    # No order matrix is stored (up-sets are rebuilt per survey), so the
     # traced leq_bytes and leq_density read 0.
     leq: None = None
 
@@ -106,7 +123,7 @@ def check_degree(two_n: int) -> None:
 
 
 def poset_tables(two_n: int) -> PosetTables:
-    """Elements, ranks, covers and bit layout of one degree, built once per process."""
+    """Elements, ranks and upper covers of one degree, built once per process."""
     cached = _TABLES.get(two_n)
     if cached is not None:
         return cached
@@ -117,70 +134,145 @@ def poset_tables(two_n: int) -> PosetTables:
 
 
 def _build_tables(two_n: int) -> PosetTables:
-    ranks_by_word, edges, ends = _walk(open_orbit(two_n // 2), SWEEP_MAX_DEGREE)
+    # Not kept: the whole degree's walk would outlive the tables built from it.
+    ranks_by_word, edges, ends = _walk(open_orbit(two_n // 2), SWEEP_MAX_DEGREE, keep=False)
     # Packed words compare as the words do, so sorting them is lexicographic.
     words = sorted(ranks_by_word)
     index = {p: m for m, p in enumerate(words)}
     ranks = [ranks_by_word[p] for p in words]
     down_degree = [0] * len(words)
-    covers: list[tuple[int, ...]] = [()] * len(words)
+    upper_covers: list[list[int]] = [[] for _ in words]
     start = 0
     for p, end in zip(ranks_by_word, ends):  # the walk's order
         m = index[p]
         below = ranks[m] - 1
         down_degree[m] = end - start
-        covers[m] = tuple(index[v] for v in edges[start:end] if ranks_by_word[v] == below)
+        for v in edges[start:end]:
+            if ranks_by_word[v] == below:
+                upper_covers[index[v]].append(m)
         start = end
-
     levels: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
     for m, r in enumerate(ranks):
         levels[r].append(m)
-    bits = [0] * len(words)
-    classes = []
-    bit = 0
-    for level in levels:
-        level.sort(key=down_degree.__getitem__)  # stable: words stay sorted within a class
-        runs = []
-        for d, group in groupby(level, key=down_degree.__getitem__):
-            first_byte = -(-bit // 8)
-            bit = 8 * first_byte
-            for m in group:
-                bits[m] = bit
-                bit += 1
-            runs.append((d, first_byte, -(-bit // 8)))
-        classes.append(tuple(runs))
-
-    elements = tuple(FpfInvolution(_unpack(p, two_n)) for p in words)
     return PosetTables(
         two_n,
-        elements,
+        tuple(FpfInvolution(_unpack(p, two_n)) for p in words),
+        tuple(words),
         tuple(ranks),
         tuple(down_degree),
-        tuple(covers),
-        tuple(bits),
+        tuple(map(tuple, upper_covers)),
         tuple(map(tuple, levels)),
-        tuple(classes),
         ConjugationPairs(2 * len(edges)),
     )
 
 
-def _lower_sets(tables: PosetTables):
-    """Yield (element index, lower set) level by level, in increasing rank.
+def _upper_sets(tables: PosetTables):
+    """Yield (element index, up-set) level by level, from the top rank down.
 
-    The lower set is an int with bit ``tables.bits[m]`` set for each member m.
-    Only the previous level's sets are kept.
+    The up-set is an int with the bit of each member set.  Bits number the
+    elements in descending rank-major order, in word order within a rank, so
+    bit 0 is the top.  Only the level above is kept.
     """
-    bits, covers = tables.bits, tables.covers
-    below: dict[int, int] = {}
-    for level in tables.levels:
+    covers = tables.upper_covers
+    above: dict[int, int] = {}
+    bit = 0
+    for level in reversed(tables.levels):
         current = {}
         for m in level:
-            lower = 1 << bits[m]
+            upper = 1 << bit
+            bit += 1
             for c in covers[m]:
-                lower |= below[c]
-            current[m] = lower
-            yield m, lower
-        below = current
+                upper |= above[c]
+            current[m] = upper
+            yield m, upper
+        above = current
+
+
+# Bit-sliced counters: a list of planes, plane b holding bit b of each count.
+
+
+def _increment(planes: list[int], column: int) -> None:
+    """Add a 0/1 column to a counter in place, rippling the carry up."""
+    carry = column
+    for b, plane in enumerate(planes):
+        planes[b] = plane ^ carry
+        carry &= plane
+        if not carry:
+            return
+    planes.append(carry)
+
+
+def _add(x: list[int], y: list[int]) -> list[int]:
+    """The counter x + y, by a ripple-carry adder over the planes."""
+    total = []
+    carry = 0
+    for a, b in zip_longest(x, y, fillvalue=0):
+        half = a ^ b
+        total.append(half ^ carry)
+        carry = a & b | carry & half
+    if carry:
+        total.append(carry)
+    return total
+
+
+def _times(x: list[int], c: int) -> list[int]:
+    """The counter c * x for a constant c >= 0: x shifted by one plane per bit of c, summed."""
+    product: list[int] = []
+    shift = 0
+    while c:
+        if c & 1:
+            product = _add(product, [0] * shift + x)
+        c >>= 1
+        shift += 1
+    return product
+
+
+def _differ(x: list[int], y: list[int]) -> int:
+    """The bits where the counters x and y hold different counts."""
+    diff = 0
+    for a, b in zip_longest(x, y, fillvalue=0):
+        diff |= a ^ b
+    return diff
+
+
+def _window(planes: list[int], lo: int, mask: int) -> list[int]:
+    """The counter read at bits lo, lo + 1, ... under mask, shifted down to bit 0."""
+    return [plane >> lo & mask for plane in planes]
+
+
+def _columns(tables: PosetTables) -> list[tuple[bool, bool]]:
+    """(palindromic, regular) of every element, in word order."""
+    ranks, down_degree, levels = tables.ranks, tables.down_degree, tables.levels
+    # One counter per (rank, d↓) class, as the module docstring sets out.
+    counters: dict[tuple[int, int], list[int]] = {}
+    for m, upper in _upper_sets(tables):
+        _increment(counters.setdefault((ranks[m], down_degree[m]), []), upper)
+    hist: list[list[int]] = [[] for _ in levels]
+    weighted: list[int] = []  # E + A
+    for (k, d), planes in counters.items():
+        hist[k] = _add(hist[k], planes)
+        weighted = _add(weighted, _times(planes, d + k))
+    total: list[int] = []  # T
+    for planes in hist:
+        total = _add(total, planes)
+
+    columns: list[tuple[bool, bool]] = [(False, False)] * len(ranks)
+    lo = 0
+    for r in reversed(range(len(levels))):
+        level = levels[r]
+        mask = (1 << len(level)) - 1
+        near = [_window(hist[k], lo, mask) for k in range(r + 1)]
+        asymmetric = 0
+        for k in range(r // 2 + 1):
+            asymmetric |= _differ(near[k], near[r - k])
+        irregular = _differ(_window(weighted, lo, mask), _times(_window(total, lo, mask), r))
+        # Bit i of each mask, as character i.
+        asymmetric_at = format(asymmetric, f"0{len(level)}b")[::-1]
+        irregular_at = format(irregular, f"0{len(level)}b")[::-1]
+        for m, a, i in zip(level, asymmetric_at, irregular_at):
+            columns[m] = (a == "0", i == "0")
+        lo += len(level)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -198,27 +290,21 @@ class OrbitSurveyRow:
         return self.avoids == self.palindromic == self.regular
 
 
+# Packed word -> one-line text as `format_involution` writes it.  A packed
+# word's first nibble is w(1) - 1 > 0, so `format(p, "x")` has all 2n digits.
+_PLAIN_TEXT = str.maketrans("012345678", "123456789")
+_COMMA_TEXT = str.maketrans({h: f",{v}" for v, h in enumerate("0123456789abcdef", start=1)})
+
+
 def theorem_survey(two_n: int) -> tuple[OrbitSurveyRow, ...]:
     """Avoidance, palindromicity, and regularity verdicts for all of I_2n, in word order."""
     tables = poset_tables(two_n)
-    ranks, classes = tables.ranks, tables.classes
-    # Byte spans (rank, d↓, first, end) of the ranks up to each rank.
-    spans = [[(r, d, lo, hi) for r in range(top + 1) for d, lo, hi in classes[r]] for top in range(len(classes))]
-    verdicts: list[tuple[bool, bool]] = [(False, False)] * len(ranks)
-    for m, lower in _lower_sets(tables):
-        top = ranks[m]
-        by_class = spans[top]
-        packed = lower.to_bytes(by_class[-1][3], "little")
-        hist = [0] * (top + 1)
-        edges = 0
-        for r, d, lo, hi in by_class:
-            count = int.from_bytes(packed[lo:hi], "little").bit_count()
-            hist[r] += count
-            edges += d * count
-        gaps = sum((top - r) * h for r, h in enumerate(hist))
-        verdicts[m] = (hist == hist[::-1], edges == gaps)
     avoiding = avoiders(two_n)
+    if two_n <= 9:
+        words = [format(p, "x").translate(_PLAIN_TEXT) for p in tables.packed]
+    else:
+        words = [format(p, "x").translate(_COMMA_TEXT)[1:] for p in tables.packed]
     return tuple(
-        OrbitSurveyRow(str(el), r, el.word in avoiding, palindromic, regular)
-        for el, r, (palindromic, regular) in zip(tables.elements, ranks, verdicts)
+        OrbitSurveyRow(word, r, el.word in avoiding, palindromic, regular)
+        for word, el, r, (palindromic, regular) in zip(words, tables.elements, tables.ranks, _columns(tables))
     )

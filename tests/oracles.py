@@ -8,7 +8,8 @@ pattern containment over raw index subsets, matrix rank by plain rational
 elimination, corner rank grids by one elimination per row count, products
 of symplectic transvections by full Fraction matrix products, poset grading
 by longest chains, and the whole-degree sweep columns by dense numpy
-matrices (small degrees only).
+matrices (small degrees only) and by one lower-set bitset per element read
+in byte classes.
 """
 
 from __future__ import annotations
@@ -355,3 +356,55 @@ def dense_survey(two_n: int):
             (bool(np.array_equal(hist, hist[::-1])), bool((degrees[members, p] == ranks[p]).all()))
         )
     return words, ranks.tolist(), columns
+
+
+def byte_class_columns(ranks, down_degree, covers) -> list[tuple[bool, bool]]:
+    """Per element (palindromic, regular) of a graded poset, one lower set at a time.
+
+    ``covers[m]`` are the elements covered by m.  The lower set
+    L(pi) = {pi} ∪ ⋃ L(c) over the covers c is one int per element, built in
+    increasing rank with bits rank-major; within a rank the bits are grouped
+    by down-degree d↓ and each (rank, d↓) class starts on a byte, so one
+    conversion to bytes gives every class popcount.  Palindromic: the rank
+    histogram of L(pi) reads the same reversed.  Regular: Σ d↓(mu) over
+    L(pi) equals Σ (r(pi) - r(mu)).  The oracle for the sweep's bit-sliced
+    columns.
+    """
+    levels: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
+    for m, r in enumerate(ranks):
+        levels[r].append(m)
+    bits = [0] * len(ranks)
+    classes = []
+    bit = 0
+    for r, level in enumerate(levels):
+        level.sort(key=down_degree.__getitem__)
+        runs = []
+        for d, group in itertools.groupby(level, key=down_degree.__getitem__):
+            first_byte = -(-bit // 8)
+            bit = 8 * first_byte
+            for m in group:
+                bits[m] = bit
+                bit += 1
+            runs.append((r, d, first_byte, -(-bit // 8)))
+        classes.append(runs)
+    columns: list[tuple[bool, bool]] = [(False, False)] * len(ranks)
+    below: dict[int, int] = {}
+    for top, level in enumerate(levels):
+        spans = [span for r in range(top + 1) for span in classes[r]]
+        current = {}
+        for m in level:
+            lower = 1 << bits[m]
+            for c in covers[m]:
+                lower |= below[c]
+            current[m] = lower
+            packed = lower.to_bytes(spans[-1][3], "little")
+            hist = [0] * (top + 1)
+            edges = 0
+            for r, d, lo, hi in spans:
+                count = int.from_bytes(packed[lo:hi], "little").bit_count()
+                hist[r] += count
+                edges += d * count
+            gaps = sum((top - r) * h for r, h in enumerate(hist))
+            columns[m] = (hist == hist[::-1], edges == gaps)
+        below = current
+    return columns

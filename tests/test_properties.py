@@ -1,5 +1,6 @@
-"""Property tests (hypothesis): the facts the avoider sets rest on, and the
-flag classifier's invariance under the symplectic group."""
+"""Property tests (hypothesis): text and packed forms of an involution, the
+order symmetry of reverse complement, the facts the avoider sets rest on,
+and the flag classifier's invariance under the symplectic group."""
 
 import pytest
 
@@ -15,7 +16,17 @@ from sporbits.geometry import (  # noqa: E402
     random_symplectic,
     transform_flag,
 )
-from sporbits.involutions import FpfInvolution, delete_pair_standardize, reverse_complement  # noqa: E402
+from sporbits.bruhat import reverse_leq  # noqa: E402
+from sporbits.involutions import (  # noqa: E402
+    FpfInvolution,
+    _letters,
+    _pack,
+    _unpack,
+    delete_pair_standardize,
+    parse_involution,
+    rank,
+    reverse_complement,
+)
 from sporbits.patterns import avoiders, avoids_all_bad  # noqa: E402
 
 # Derandomized, so the tier-1 run is reproducible and needs no example
@@ -24,15 +35,27 @@ from sporbits.patterns import avoiders, avoids_all_bad  # noqa: E402
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
 
+def paired_off(order):
+    """The involution pairing order[0] with order[1], order[2] with order[3], ..."""
+    word = [0] * len(order)
+    for a, d in zip(order[::2], order[1::2]):
+        word[a - 1], word[d - 1] = d, a
+    return tuple(word)
+
+
 @st.composite
 def involution_words(draw, min_half, max_half):
     """A fixed-point-free involution: a random permutation of 1..2n, paired off."""
     n = draw(st.integers(min_half, max_half))
-    order = draw(st.permutations(range(1, 2 * n + 1)))
-    word = [0] * (2 * n)
-    for a, d in zip(order[::2], order[1::2]):
-        word[a - 1], word[d - 1] = d, a
-    return tuple(word)
+    return paired_off(draw(st.permutations(range(1, 2 * n + 1))))
+
+
+@st.composite
+def involution_pairs(draw, min_half, max_half):
+    """Two fixed-point-free involutions of one degree."""
+    n = draw(st.integers(min_half, max_half))
+    letters = st.permutations(range(1, 2 * n + 1))
+    return paired_off(draw(letters)), paired_off(draw(letters))
 
 
 def insert_arc(word, i, j):
@@ -60,6 +83,36 @@ def test_insert_arc():
     assert insert_arc((2, 1), 2, 3) == (4, 3, 2, 1)
     assert insert_arc((4, 3, 2, 1), 2, 5) == (6, 5, 4, 3, 2, 1)
     assert insert_arc((2, 1, 4, 3), 1, 3) == (3, 4, 1, 2, 6, 5)
+
+
+@PROPERTY
+@given(involution_words(1, 8))
+def test_text_parses_back_in_both_notations(word):
+    pi = FpfInvolution(word)
+    assert parse_involution(str(pi)) == pi
+    assert parse_involution(",".join(map(str, word))) == pi
+    if len(word) <= 9:
+        assert parse_involution("".join(map(str, word))) == pi
+
+
+@PROPERTY
+@given(involution_pairs(1, 8))
+def test_packed_words_unpack_and_sort_as_words(pair):
+    u, w = pair
+    two_n = len(w)
+    assert _unpack(_pack(w), two_n) == w
+    assert tuple(_letters(_pack(w), two_n)) == tuple(x - 1 for x in w)
+    assert (_pack(u) < _pack(w)) == (u < w)
+
+
+@PROPERTY
+@given(involution_pairs(1, 7))
+def test_reverse_complement_preserves_rank_and_order(pair):
+    mu, pi = map(FpfInvolution, pair)
+    flipped_mu, flipped_pi = reverse_complement(mu), reverse_complement(pi)
+    assert rank(flipped_pi) == rank(pi)
+    assert reverse_leq(flipped_mu, flipped_pi) == reverse_leq(mu, pi)
+    assert reverse_leq(flipped_pi, flipped_mu) == reverse_leq(pi, mu)
 
 
 @PROPERTY

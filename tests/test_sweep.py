@@ -1,37 +1,61 @@
 import os
+import random
 import subprocess
 import sys
 
 import oracles
 import pytest
 
-from sporbits import sweep
-from sporbits.bruhat import _walk, is_rationally_smooth
+from sporbits import bruhat, cli, sweep
+from sporbits.bruhat import _walk, is_rationally_smooth, rank_poly
 from sporbits.graphs import is_regular
-from sporbits.involutions import SizeLimitError, _unpack, enumerate_fpf, open_orbit, rank
+from sporbits.involutions import SizeLimitError, _unpack, enumerate_fpf, open_orbit, parse_involution, rank
 from sporbits.patterns import avoids_all_bad
 
 
-def members(tables, lower):
-    """Element indices of a lower-set int."""
-    return {m for m, bit in enumerate(tables.bits) if lower >> bit & 1}
+def bit_order(tables):
+    """Element indices by up-set bit: descending rank-major, word order within a rank."""
+    return [m for level in reversed(tables.levels) for m in level]
+
+
+def members(tables, upper):
+    """Element indices of an up-set int."""
+    return {m for b, m in enumerate(bit_order(tables)) if upper >> b & 1}
+
+
+def down_covers(tables):
+    """The covers below each element, from the tables' upper covers."""
+    covers = [[] for _ in tables.elements]
+    for m, above in enumerate(tables.upper_covers):
+        for c in above:
+            covers[c].append(m)
+    return covers
+
+
+def counter(values):
+    """A bit-sliced counter holding values[i] at bit i."""
+    return [sum(1 << i for i, v in enumerate(values) if v >> b & 1) for b in range(max(values).bit_length())]
+
+
+def counts(planes, size):
+    return [sum((plane >> i & 1) << b for b, plane in enumerate(planes)) for i in range(size)]
 
 
 class TestTables:
-    def test_lower_sets_match_pairwise_comparison(self):
+    def test_upper_sets_match_pairwise_comparison(self):
         for two_n in (2, 4, 6, 8, 10):
             tables = sweep.poset_tables(two_n)
             words = [el.word for el in tables.elements]
             assert words == oracles.fpf_words(two_n)
             if two_n <= 8:
-                expected = {p: {m for m, mu in enumerate(words) if oracles.reverse_below(mu, pi)} for p, pi in enumerate(words)}
+                expected = {m: {p for p, pi in enumerate(words) if oracles.reverse_below(mu, pi)} for m, mu in enumerate(words)}
             else:
                 leq = oracles.dense_leq(words)
-                expected = {p: set(leq[:, p].nonzero()[0].tolist()) for p in range(len(words))}
-            got = dict(sweep._lower_sets(tables))
+                expected = {m: set(leq[m].nonzero()[0].tolist()) for m in range(len(words))}
+            got = dict(sweep._upper_sets(tables))
             assert got.keys() == expected.keys()
-            for p, lower in got.items():
-                assert members(tables, lower) == expected[p]
+            for m, upper in got.items():
+                assert members(tables, upper) == expected[m]
 
     def test_dense_oracle_matches_pairwise_comparison(self):
         for two_n in (4, 6, 8):
@@ -52,12 +76,16 @@ class TestTables:
         for two_n in (2, 4, 6, 8, 10):
             tables = sweep.poset_tables(two_n)
             index = {el.word: m for m, el in enumerate(tables.elements)}
+            upper_covers = [set() for _ in tables.elements]
             for m, el in enumerate(tables.elements):
                 below = oracles.conjugates_below(el.word)
                 assert tables.down_degree[m] == len(below)
-                covers = {index[v] for v in below if oracles.inversion_rank(v) == tables.ranks[m] - 1}
-                assert set(tables.covers[m]) == covers
-                assert len(tables.covers[m]) == len(covers)
+                for v in below:
+                    if oracles.inversion_rank(v) == tables.ranks[m] - 1:
+                        upper_covers[index[v]].add(m)
+            for m, covers in enumerate(upper_covers):
+                assert set(tables.upper_covers[m]) == covers
+                assert len(tables.upper_covers[m]) == len(covers)
             words = [el.word for el in tables.elements]
             assert tables.neighbors.nnz == int(oracles.dense_neighbors(words).sum())
         assert sweep.poset_tables(12).neighbors.nnz == 311_850
@@ -69,17 +97,44 @@ class TestTables:
             tables = sweep.poset_tables(two_n)
             assert tables.down_degree == tables.ranks, two_n
 
-    def test_bits_are_rank_major_with_one_byte_span_per_class(self):
+    def test_bits_are_descending_rank_major(self):
         tables = sweep.poset_tables(10)
-        end = 0
-        for r, runs in enumerate(tables.classes):
-            spans = {d: range(8 * lo, 8 * hi) for d, lo, hi in runs}
-            assert len(spans) == len(runs) and runs[0][1] >= end
-            assert all(a[2] <= b[1] for a, b in zip(runs, runs[1:]))
-            for m in tables.levels[r]:
-                assert tables.bits[m] in spans[tables.down_degree[m]]
-            end = runs[-1][2]
-        assert len(set(tables.bits)) == len(tables.bits)
+        order = bit_order(tables)
+        assert sorted(order) == list(range(len(tables.elements)))
+        keys = [(-tables.ranks[m], m) for m in order]
+        assert keys == sorted(keys)
+        # The up-sets of rank r lie in the bits of the ranks >= r.
+        for m, upper in sweep._upper_sets(tables):
+            assert upper.bit_length() <= sum(map(len, tables.levels[tables.ranks[m] :]))
+
+
+class TestCounters:
+    def test_helpers_match_integer_arithmetic(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            size = rng.randrange(1, 70)
+            x = [rng.randrange(1 << rng.randrange(9)) for _ in range(size)]
+            y = [rng.randrange(1 << rng.randrange(9)) for _ in range(size)]
+            column = [rng.randrange(2) for _ in range(size)]
+            c = rng.randrange(70)
+            planes = counter(x)
+            sweep._increment(planes, sum(bit << i for i, bit in enumerate(column)))
+            assert counts(planes, size) == [a + b for a, b in zip(x, column)]
+            assert counts(sweep._add(counter(x), counter(y)), size) == [a + b for a, b in zip(x, y)]
+            assert counts(sweep._times(counter(x), c), size) == [c * a for a in x]
+            assert sweep._differ(counter(x), counter(y)) == sum(1 << i for i, (a, b) in enumerate(zip(x, y)) if a != b)
+
+    def test_increment_carries_into_a_new_plane(self):
+        planes = []
+        for _ in range(5):
+            sweep._increment(planes, 0b101)
+        assert planes == [0b101, 0, 0b101]
+
+    def test_columns_match_byte_class_oracle(self):
+        for two_n in range(2, 13, 2):
+            tables = sweep.poset_tables(two_n)
+            expected = oracles.byte_class_columns(tables.ranks, tables.down_degree, down_covers(tables))
+            assert sweep._columns(tables) == expected, two_n
 
 
 class TestSurvey:
@@ -157,6 +212,26 @@ def test_full_sweep_at_fourteen():
     assert len(rows) == 135_135
     assert sum(row.palindromic for row in rows) == 6682
     assert all(row.consistent for row in rows)
+    # The edge-count regular column rests on d↓ = rank (see the sweep docstring).
+    tables = sweep.poset_tables(14)
+    assert tables.down_degree == tables.ranks
+
+
+def test_sweep_leaves_no_walk_kept(capsys):
+    bruhat._walk_from.cache_clear()
+    sweep._TABLES.pop(8, None)
+    sweep.poset_tables(8)
+    assert bruhat._walk_from.cache_info().currsize == 0
+    # The walk an analyze query keeps survives a sweep built after it.
+    assert cli.main(["analyze", "351624"]) == 0
+    info = bruhat._walk_from.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    sweep._TABLES.pop(8, None)
+    sweep.poset_tables(8)
+    rank_poly(parse_involution("351624"))
+    info = bruhat._walk_from.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert "maximal singular orbits: 564312" in capsys.readouterr().out
 
 
 def test_over_cap_degree_refused_before_walk(monkeypatch):
