@@ -135,9 +135,7 @@ def interval(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> Interva
     return Interval(pi, members, dict(zip(members, map(ranks.__getitem__, words))))
 
 
-def _walk(
-    pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE, keep: bool = True
-) -> tuple[dict[int, int], array, list[int]]:
+def _walk(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[dict[int, int], array, list[int]]:
     """The lower interval of pi as packed words, walked breadth first.
 
     Returns each member's rank, in the order the members were walked, and
@@ -146,15 +144,13 @@ def _walk(
     conjugates above it inside the interval are its occurrences in
     ``edges``.  Refused up front beyond ``max_degree`` or beyond what a
     packed word holds.  The last walk is kept, so the queries of one
-    `analyze` call share it; callers must not modify the result.  With
-    ``keep=False`` the walk is neither kept nor evicts the kept one, for a
-    caller that consumes it at once, such as a whole-degree sweep.
+    `analyze` call share it; callers must not modify the result.
     """
     if pi.degree > max_degree:
         raise SizeLimitError(f"degree {pi.degree} exceeds the enumeration cap {max_degree}")
     if pi.degree > PACKED_MAX_DEGREE:
         raise SizeLimitError(f"degree {pi.degree} exceeds {PACKED_MAX_DEGREE}, the most a packed word holds")
-    return _walk_from(pi) if keep else _walk_from.__wrapped__(pi)
+    return _walk_from(pi)
 
 
 @lru_cache(maxsize=1)

@@ -52,7 +52,6 @@ HARD_MAX_DEGREE = 14
 @dataclass(frozen=True)
 class RunConfig:
     max_degree: int = DEFAULT_CLI_MAX_DEGREE
-    seed: int = 0
     output: str = "text"
 
 
@@ -65,7 +64,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         if override > HARD_MAX_DEGREE:
             raise SizeLimitError(f"--max-degree-override {override} exceeds hard maximum {HARD_MAX_DEGREE}")
         max_degree = override
-    return RunConfig(max_degree, args.seed, args.output)
+    return RunConfig(max_degree, args.output)
 
 
 def _check_degree(degree: int, cfg: RunConfig, what: str) -> None:
@@ -459,7 +458,6 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
             {
                 "schema": "sporbits.verify_theorem/1",
                 "max_degree": top_degree,
-                "seed": cfg.seed,
                 "degrees": degree_reports,
                 "ok": all_ok,
             }
@@ -484,7 +482,6 @@ def _add_common(sub: argparse.ArgumentParser, dot: bool = False) -> None:
     # Only the commands that render a graph accept --output dot.
     formats = ("text", "json", "dot") if dot else ("text", "json")
     sub.add_argument("--output", choices=formats, default="text")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--max-degree-override", type=int, default=None, dest="max_degree_override")
 
 

@@ -4,15 +4,29 @@ The per-element functions in `bruhat`, `graphs` and `patterns` are the
 reference path; this module computes the same three verdicts for every
 involution of a degree in one pass, in pure Python.
 
-The degree is walked once from its top, the open orbit, down conjugation
-edges (`bruhat._walk`; Richardson-Springer, Hultman), which gives every
-element with its rank and its conjugates below it.  The upper covers of mu
-are the conjugates above it whose rank is one more, and the up-set is
-U(mu) = {mu} ∪ ⋃ U(c) over the upper covers c of mu.  Each U(mu) is a
-Python int used as a bitset, with the elements numbered in descending
-rank-major order, so the up-sets of rank r fit in the bits of the ranks
->= r.  The sets are built from the top rank down, and each level is dropped
-once the level below it is built.
+The degree is scanned once from its top, the open orbit, breadth first
+down its covers only.  The order is graded by rank and every cover is a
+conjugation t*w*t (Richardson-Springer; Hultman), so each element lies on
+a chain of covers down from the top and the scan reaches every element,
+level by level.  For w, i with x = w(i) > i and j > i with y = w(j) > x,
+t = (i, j) gives a distinct conjugate below w, lower in rank by
+1 + 2c + [x < j < y] with c = #{i < k < j : x < w(k) < y}, as in
+`bruhat._walk`.  The scan runs j = i+1, i+2, ... keeping `bound`, the
+least w(k) > x over i < k < j.  If bound < y, bound itself is a w(k)
+strictly between x and y; if some w(k) is, bound <= w(k) < y.  So c = 0
+exactly when y < bound, and (i, j) gives a cover exactly when
+x < y < bound and not x < j < y.  Each pair with y > x counts toward
+d↓(w), the number of conjugates below w.  A new element takes the rank of
+the element it was found from, less one.  No edge list and no
+`FpfInvolution` per element is built: the scan runs on packed words, and
+`PosetTables.elements` is built only when read.  The tests check the
+scanned tables against the whole-degree walk at every degree to 2n = 12.
+
+The up-set is U(mu) = {mu} ∪ ⋃ U(c) over the upper covers c of mu.  Each
+U(mu) is a Python int used as a bitset, with the elements numbered in
+descending rank-major order, so the up-sets of rank r fit in the bits of
+the ranks >= r.  The sets are built from the top rank down, and each level
+is dropped once the level below it is built.
 
 No histogram is read per element.  Every column comes from bit-sliced
 counters (Knuth, TAOCP 4A §7.1.3): a counter holds one small count per
@@ -51,32 +65,37 @@ h_k(pi) = #{mu of rank k : mu <= pi}.  The columns:
   sweep is in effect a two-way check.  It still weights by the tables' own
   d↓ and does not assume d↓ = rank;
 - avoids: membership in `patterns.avoiders`, the avoider set of the degree
-  built by arc insertion; `avoids_all_bad` stays the per-element path.
+  built by arc insertion, packed once per degree; `avoids_all_bad` stays
+  the per-element path.
 
-No order matrix is stored.  The tables of a degree (elements, ranks, upper
+No order matrix is stored.  The tables of a degree (words, ranks, upper
 covers) are memoized; every survey rebuilds the up-sets and counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from .bruhat import _walk
 from .involutions import (
     FpfInvolution,
     InvolutionError,
     SizeLimitError,
+    _conjugation_masks,
+    _letters,
+    _pack,
     _unpack,
     fpf_count,
     open_orbit,
+    rank,
 )
 from .patterns import avoiders
 
-# The largest degree a sweep covers: 135 135 involutions, about 14 s and
-# 320 MB for a fresh `verify-theorem --degree 14` (2 cores, Python 3.11),
-# most of the memory held while the tables are built from the walk.  2n = 16
-# would walk 2 027 025.
+# The largest degree a sweep covers: 135 135 involutions, about 8 s and
+# 290 MB for a fresh `verify-theorem --degree 14` (2 cores, Python 3.11).
+# The cover scan builds the tables in about 2 s and 85 MB; the survey's
+# up-sets and counters set the peak.  2n = 16 would scan 2 027 025.
 SWEEP_MAX_DEGREE = 14
 
 
@@ -91,9 +110,8 @@ class ConjugationPairs:
 @dataclass(eq=False)
 class PosetTables:
     two_n: int
-    # In lexicographic word order; every other per-element tuple follows it.
-    elements: tuple[FpfInvolution, ...]
-    # The words packed as in `involutions._pack`.
+    # The words packed as in `involutions._pack`, in lexicographic word
+    # order; every other per-element tuple follows it.
     packed: tuple[int, ...]
     ranks: tuple[int, ...]
     # Number of distinct conjugates t*mu*t strictly below mu.
@@ -107,12 +125,17 @@ class PosetTables:
     # traced leq_bytes and leq_density read 0.
     leq: None = None
 
+    @cached_property
+    def elements(self) -> tuple[FpfInvolution, ...]:
+        """The involutions in word order, built on first use; a survey never uses them."""
+        return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.packed)
+
 
 _TABLES: dict[int, PosetTables] = {}
 
 
 def check_degree(two_n: int) -> None:
-    """Refuse, before any walk, a degree that is malformed or beyond the sweep's cap."""
+    """Refuse, before any scan, a degree that is malformed or beyond the sweep's cap."""
     if two_n < 2 or two_n % 2:
         raise InvolutionError(f"a sweep needs a positive even degree, got {two_n}")
     if two_n > SWEEP_MAX_DEGREE:
@@ -123,7 +146,7 @@ def check_degree(two_n: int) -> None:
 
 
 def poset_tables(two_n: int) -> PosetTables:
-    """Elements, ranks and upper covers of one degree, built once per process."""
+    """Words, ranks and upper covers of one degree, built once per process."""
     cached = _TABLES.get(two_n)
     if cached is not None:
         return cached
@@ -134,36 +157,67 @@ def poset_tables(two_n: int) -> PosetTables:
 
 
 def _build_tables(two_n: int) -> PosetTables:
-    # Not kept: the whole degree's walk would outlive the tables built from it.
-    ranks_by_word, edges, ends = _walk(open_orbit(two_n // 2), SWEEP_MAX_DEGREE, keep=False)
+    words, ranks, down_degree, above = _scan_covers(two_n)
     # Packed words compare as the words do, so sorting them is lexicographic.
-    words = sorted(ranks_by_word)
-    index = {p: m for m, p in enumerate(words)}
-    ranks = [ranks_by_word[p] for p in words]
-    down_degree = [0] * len(words)
-    upper_covers: list[list[int]] = [[] for _ in words]
-    start = 0
-    for p, end in zip(ranks_by_word, ends):  # the walk's order
-        m = index[p]
-        below = ranks[m] - 1
-        down_degree[m] = end - start
-        for v in edges[start:end]:
-            if ranks_by_word[v] == below:
-                upper_covers[index[v]].append(m)
-        start = end
-    levels: list[list[int]] = [[] for _ in range(max(ranks) + 1)]
-    for m, r in enumerate(ranks):
-        levels[r].append(m)
+    order = sorted(range(len(words)), key=words.__getitem__)
+    at = [0] * len(words)  # scan index -> word index
+    for m, k in enumerate(order):
+        at[k] = m
+    levels: list[list[int]] = [[] for _ in range(ranks[0] + 1)]
+    for m, k in enumerate(order):
+        levels[ranks[k]].append(m)
     return PosetTables(
         two_n,
-        tuple(FpfInvolution(_unpack(p, two_n)) for p in words),
-        tuple(words),
-        tuple(ranks),
-        tuple(down_degree),
-        tuple(map(tuple, upper_covers)),
+        tuple(words[k] for k in order),
+        tuple(ranks[k] for k in order),
+        tuple(down_degree[k] for k in order),
+        tuple(tuple(at[c] for c in above[k]) for k in order),
         tuple(map(tuple, levels)),
-        ConjugationPairs(2 * len(edges)),
+        ConjugationPairs(2 * sum(down_degree)),
     )
+
+
+def _scan_covers(two_n: int) -> tuple[list[int], list[int], list[int], list[list[int]]]:
+    """Every involution of the degree, found from the top down its covers.
+
+    Returns, in scan order (descending rank), the packed words, ranks,
+    down-degrees and the scan indices of each element's upper covers.
+    """
+    masks = _conjugation_masks(two_n)
+    top = open_orbit(two_n // 2)
+    words = [_pack(top.word)]
+    ranks = [rank(top)]
+    down_degree: list[int] = []
+    above: list[list[int]] = [[]]
+    index = {words[0]: 0}
+    for k, p in enumerate(words):  # grows as elements are found
+        w = _letters(p, two_n)
+        below = ranks[k] - 1
+        d = 0
+        for i in range(two_n - 1):
+            x = w[i]
+            if x < i:
+                continue
+            masks_ix = masks[i][x]
+            bound = two_n  # the least w(l) > x over i < l < j, or two_n
+            for j in range(i + 1, two_n):
+                y = w[j]
+                if y > x:
+                    d += 1
+                    if y < bound:
+                        bound = y
+                        if not x < j < y:
+                            v = p ^ masks_ix[j][y]
+                            m = index.get(v)
+                            if m is None:
+                                index[v] = len(words)
+                                words.append(v)
+                                ranks.append(below)
+                                above.append([k])
+                            else:
+                                above[m].append(k)
+        down_degree.append(d)
+    return words, ranks, down_degree, above
 
 
 def _upper_sets(tables: PosetTables):
@@ -299,12 +353,17 @@ _COMMA_TEXT = str.maketrans({h: f",{v}" for v, h in enumerate("0123456789abcdef"
 def theorem_survey(two_n: int) -> tuple[OrbitSurveyRow, ...]:
     """Avoidance, palindromicity, and regularity verdicts for all of I_2n, in word order."""
     tables = poset_tables(two_n)
-    avoiding = avoiders(two_n)
+    avoiding = _packed_avoiders(two_n)
     if two_n <= 9:
         words = [format(p, "x").translate(_PLAIN_TEXT) for p in tables.packed]
     else:
         words = [format(p, "x").translate(_COMMA_TEXT)[1:] for p in tables.packed]
     return tuple(
-        OrbitSurveyRow(word, r, el.word in avoiding, palindromic, regular)
-        for word, el, r, (palindromic, regular) in zip(words, tables.elements, tables.ranks, _columns(tables))
+        OrbitSurveyRow(word, r, p in avoiding, palindromic, regular)
+        for word, p, r, (palindromic, regular) in zip(words, tables.packed, tables.ranks, _columns(tables))
     )
+
+
+@lru_cache(maxsize=None)
+def _packed_avoiders(two_n: int) -> frozenset[int]:
+    return frozenset(map(_pack, avoiders(two_n)))

@@ -280,7 +280,7 @@ class TestVerifyTheorem:
         code2, out2, _ = run(capsys, "verify-theorem", "--degree", "8", "--output", "json")
         assert code1 == code2 == 0
         assert out1 == out2
-        assert set(json.loads(out1)) == {"schema", "max_degree", "seed", "degrees", "ok"}
+        assert set(json.loads(out1)) == {"schema", "max_degree", "degrees", "ok"}
 
     def test_text_mode(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "--degree", "4")
@@ -315,3 +315,10 @@ class TestVerifyTheorem:
             main(["verify-theorem", "--degree", "4", "--workers", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+    def test_seed_refused(self, capsys):
+        # --seed is gone: no command draws random numbers from it.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-theorem", "--degree", "4", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err

@@ -9,7 +9,15 @@ import pytest
 from sporbits import bruhat, cli, sweep
 from sporbits.bruhat import _walk, is_rationally_smooth, rank_poly
 from sporbits.graphs import is_regular
-from sporbits.involutions import SizeLimitError, _unpack, enumerate_fpf, open_orbit, parse_involution, rank
+from sporbits.involutions import (
+    SizeLimitError,
+    _unpack,
+    enumerate_fpf,
+    fpf_count,
+    open_orbit,
+    parse_involution,
+    rank,
+)
 from sporbits.patterns import avoids_all_bad
 
 
@@ -89,6 +97,32 @@ class TestTables:
             words = [el.word for el in tables.elements]
             assert tables.neighbors.nnz == int(oracles.dense_neighbors(words).sum())
         assert sweep.poset_tables(12).neighbors.nnz == 311_850
+
+    def test_scanned_tables_match_the_walk(self):
+        # The cover scan against the whole-degree walk down every conjugation
+        # edge: the covers are the down-edges whose rank drops by 1.
+        for two_n in range(2, 13, 2):
+            tables = sweep.poset_tables(two_n)
+            ranks, edges, ends = _walk(open_orbit(two_n // 2), two_n)
+            assert len(tables.packed) == len(ranks) == fpf_count(two_n // 2)
+            assert tables.packed == tuple(sorted(ranks))
+            index = {p: m for m, p in enumerate(tables.packed)}
+            upper_covers = [[] for _ in tables.packed]
+            start = 0
+            for p, end in zip(ranks, ends):
+                m = index[p]
+                assert tables.ranks[m] == ranks[p]
+                assert tables.down_degree[m] == end - start
+                for v in edges[start:end]:
+                    if ranks[v] == ranks[p] - 1:
+                        upper_covers[index[v]].append(m)
+                start = end
+            assert [sorted(c) for c in tables.upper_covers] == [sorted(c) for c in upper_covers], two_n
+            assert tables.neighbors.nnz == 2 * len(edges)
+            assert tables.ranks == tuple(map(rank, tables.elements))
+            assert tables.levels == tuple(
+                tuple(m for m, r in enumerate(tables.ranks) if r == k) for k in range(len(tables.levels))
+            )
 
     def test_down_degree_equals_rank(self):
         # Makes the edge-count regular column a consequence of the
@@ -214,6 +248,7 @@ def test_full_sweep_at_fourteen():
     assert all(row.consistent for row in rows)
     # The edge-count regular column rests on d↓ = rank (see the sweep docstring).
     tables = sweep.poset_tables(14)
+    assert len(tables.packed) == 135_135
     assert tables.down_degree == tables.ranks
 
 
@@ -235,10 +270,10 @@ def test_sweep_leaves_no_walk_kept(capsys):
 
 
 def test_over_cap_degree_refused_before_walk(monkeypatch):
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the size check must come before the walk")
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the size check must come before the scan")
 
-    monkeypatch.setattr(sweep, "_walk", no_walk)
+    monkeypatch.setattr(sweep, "_scan_covers", no_scan)
     with pytest.raises(SizeLimitError, match="2027025 involutions"):
         sweep.poset_tables(16)
     assert 16 not in sweep._TABLES
