@@ -14,7 +14,8 @@ when w(a) < w(d) (in ordinary Bruhat order w < wt < t*w*t then), and every
 mu < pi is reached from pi by such steps (Richardson-Springer; Hultman).
 The walk runs on packed words, 4 bits per letter, so a step is one XOR of
 an int and each member's rank follows from its parent's by a count over the
-letters between a and d; words of more than 16 letters are refused.
+letters between a and d; `check_degree` keeps every walk to a degree
+that a packed word holds.
 `FpfInvolution` objects are built only for what `interval` returns.  The
 last walk is kept, so `rank_poly` and the singular locus of one `analyze`
 query share a single walk.  The rank polynomial is the histogram of ranks
@@ -33,16 +34,14 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .involutions import (
-    DEFAULT_MAX_DEGREE,
-    PACKED_MAX_DEGREE,
     FpfInvolution,
     InvolutionError,
-    SizeLimitError,
     Transposition,
     _conjugation_masks,
     _letters,
     _pack,
     _unpack,
+    check_degree,
     delete_pair_standardize,
     rank,
 )
@@ -122,34 +121,31 @@ def reverse_leq(mu: FpfInvolution, pi: FpfInvolution) -> bool:
     return True
 
 
-def interval(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> Interval:
+def interval(pi: FpfInvolution) -> Interval:
     """All involutions below pi in reverse order, in lexicographic word order.
 
     >>> from .involutions import parse_involution as p
     >>> [str(mu) for mu in interval(p("3412")).members]
     ['3412', '4321']
     """
-    ranks = _walk(pi, max_degree)[0]
+    ranks = _walk(pi)[0]
     words = sorted(ranks)
     members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p in words)
     return Interval(pi, members, dict(zip(members, map(ranks.__getitem__, words))))
 
 
-def _walk(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[dict[int, int], array, list[int]]:
+def _walk(pi: FpfInvolution) -> tuple[dict[int, int], array, list[int]]:
     """The lower interval of pi as packed words, walked breadth first.
 
     Returns each member's rank, in the order the members were walked, and
     the down-edges: the k-th member's conjugates below it are
     ``edges[ends[k - 1]:ends[k]]`` (from 0 for k = 0), so a member's
     conjugates above it inside the interval are its occurrences in
-    ``edges``.  Refused up front beyond ``max_degree`` or beyond what a
-    packed word holds.  The last walk is kept, so the queries of one
-    `analyze` call share it; callers must not modify the result.
+    ``edges``.  Refused up front beyond the degree cap.  The last walk is
+    kept, so the queries of one `analyze` call share it; callers must not
+    modify the result.
     """
-    if pi.degree > max_degree:
-        raise SizeLimitError(f"degree {pi.degree} exceeds the enumeration cap {max_degree}")
-    if pi.degree > PACKED_MAX_DEGREE:
-        raise SizeLimitError(f"degree {pi.degree} exceeds {PACKED_MAX_DEGREE}, the most a packed word holds")
+    check_degree(pi.degree)
     return _walk_from(pi)
 
 
@@ -189,9 +185,9 @@ def _walk_from(pi: FpfInvolution) -> tuple[dict[int, int], array, list[int]]:
     return ranks, edges, ends
 
 
-def rank_poly(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> RankPolynomial:
+def rank_poly(pi: FpfInvolution) -> RankPolynomial:
     """Histogram of ranks over the lower interval of pi."""
-    hist = Counter(_walk(pi, max_degree)[0].values())
+    hist = Counter(_walk(pi)[0].values())
     return RankPolynomial(tuple(hist[r] for r in range(rank(pi) + 1)))
 
 
@@ -203,9 +199,9 @@ def is_palindromic(poly: RankPolynomial | Sequence[int]) -> bool:
     return coeffs == coeffs[::-1]
 
 
-def is_rationally_smooth(pi: FpfInvolution, max_degree: int = DEFAULT_MAX_DEGREE) -> bool:
+def is_rationally_smooth(pi: FpfInvolution) -> bool:
     """True iff the closure of the pi-orbit is rationally smooth (palindromic test)."""
-    return is_palindromic(rank_poly(pi, max_degree))
+    return is_palindromic(rank_poly(pi))
 
 
 def factor_rank_poly(pi: FpfInvolution) -> tuple[int, ...]:

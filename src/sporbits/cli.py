@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .involutions import (
+    DEFAULT_MAX_DEGREE,
     InvolutionError,
     SizeLimitError,
-    fpf_count,
+    check_degree,
     parse_involution,
     rank,
     w0,
@@ -45,48 +45,20 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
+# The CLI's degree cap; --max-degree-override raises it up to DEFAULT_MAX_DEGREE.
 DEFAULT_CLI_MAX_DEGREE = 10
-HARD_MAX_DEGREE = 14
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    max_degree: int = DEFAULT_CLI_MAX_DEGREE
-    output: str = "text"
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    max_degree = DEFAULT_CLI_MAX_DEGREE
-    if args.max_degree_override is not None:
-        override = args.max_degree_override
-        if override % 2 or override < 2:
-            raise InvolutionError(f"--max-degree-override must be even and >= 2, got {override}")
-        if override > HARD_MAX_DEGREE:
-            raise SizeLimitError(f"--max-degree-override {override} exceeds hard maximum {HARD_MAX_DEGREE}")
-        max_degree = override
-    return RunConfig(max_degree, args.output)
-
-
-def _check_degree(degree: int, cfg: RunConfig, what: str) -> None:
-    if degree % 2 or degree < 2:
-        raise InvolutionError(f"{what} must be a positive even degree, got {degree}")
-    if degree > cfg.max_degree:
-        raise SizeLimitError(
-            f"{what} {degree} exceeds the configured cap {cfg.max_degree}"
-            " (raise it with --max-degree-override)"
-        )
 
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def cmd_enumerate(args, cfg: RunConfig) -> int:
+def cmd_enumerate(args, cap: int) -> int:
     from .involutions import enumerate_fpf
 
-    _check_degree(args.degree, cfg, "--degree")
-    elems = enumerate_fpf(args.degree // 2, max_degree=cfg.max_degree)
-    if cfg.output == "json":
+    check_degree(args.degree, cap, "--degree")
+    elems = enumerate_fpf(args.degree // 2)
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.enumerate/1",
@@ -101,17 +73,17 @@ def cmd_enumerate(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_rank(args, cfg: RunConfig) -> int:
+def cmd_rank(args, cap: int) -> int:
     pi = parse_involution(args.involution)
     r = rank(pi)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json({"schema": "sporbits.rank/1", "involution": str(pi), "rank": r})
     else:
         print(r)
     return EXIT_OK
 
 
-def cmd_order(args, cfg: RunConfig) -> int:
+def cmd_order(args, cap: int) -> int:
     mu = parse_involution(args.mu)
     pi = parse_involution(args.pi)
     below = reverse_leq(mu, pi)
@@ -124,7 +96,7 @@ def cmd_order(args, cfg: RunConfig) -> int:
         relation = "mu > pi"
     else:
         relation = "incomparable"
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.order/1",
@@ -142,13 +114,13 @@ def cmd_order(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_interval(args, cfg: RunConfig) -> int:
+def cmd_interval(args, cap: int) -> int:
     from .bruhat import interval
 
     pi = parse_involution(args.involution)
-    _check_degree(pi.degree, cfg, "degree")
-    iv = interval(pi, max_degree=cfg.max_degree)
-    if cfg.output == "json":
+    check_degree(pi.degree, cap)
+    iv = interval(pi)
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.interval/1",
@@ -165,12 +137,12 @@ def cmd_interval(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_poly(args, cfg: RunConfig) -> int:
+def cmd_poly(args, cap: int) -> int:
     pi = parse_involution(args.involution)
-    _check_degree(pi.degree, cfg, "degree")
-    poly = rank_poly(pi, max_degree=cfg.max_degree)
+    check_degree(pi.degree, cap)
+    poly = rank_poly(pi)
     palin = is_palindromic(poly)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.poly/1",
@@ -185,12 +157,12 @@ def cmd_poly(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_factor(args, cfg: RunConfig) -> int:
+def cmd_factor(args, cap: int) -> int:
     pi = parse_involution(args.involution)
     try:
         exponents = factor_rank_poly(pi)
     except PatternObstruction as exc:
-        if cfg.output == "json":
+        if args.output == "json":
             _emit_json(
                 {
                     "schema": "sporbits.factor/1",
@@ -203,7 +175,7 @@ def cmd_factor(args, cfg: RunConfig) -> int:
             print(f"refused: {exc}", file=sys.stderr)
         return EXIT_INPUT
     product = bracket_product(exponents)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.factor/1",
@@ -219,14 +191,14 @@ def cmd_factor(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_graph(args, cfg: RunConfig) -> int:
+def cmd_graph(args, cap: int) -> int:
     pi = parse_involution(args.involution)
-    _check_degree(pi.degree, cfg, "degree")
+    check_degree(pi.degree, cap)
     bottom = parse_involution(args.bottom) if args.bottom else w0(pi.n)
     g = build_graph(bottom, pi)
-    if cfg.output == "dot":
+    if args.output == "dot":
         print(to_dot(g), end="")
-    elif cfg.output == "json":
+    elif args.output == "json":
         _emit_json(graph_to_json(g))
     else:
         print(f"interval [{g.bottom}, {g.top}]: {len(g.vertices)} vertices, {g.edge_count} edges")
@@ -236,10 +208,10 @@ def cmd_graph(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_avoid(args, cfg: RunConfig) -> int:
+def cmd_avoid(args, cap: int) -> int:
     pi = parse_involution(args.involution)
     witness = bad_pattern_witness(pi)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.avoid/1",
@@ -255,18 +227,18 @@ def cmd_avoid(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args, cap: int) -> int:
     pi = parse_involution(args.involution)
-    _check_degree(pi.degree, cfg, "degree")
-    if cfg.output == "dot":
+    check_degree(pi.degree, cap)
+    if args.output == "dot":
         print(to_dot(build_graph(w0(pi.n), pi)), end="")
         return EXIT_OK
     witness = bad_pattern_witness(pi)
-    poly = rank_poly(pi, max_degree=cfg.max_degree)
+    poly = rank_poly(pi)
     palin = is_palindromic(poly)
     exponents = None if witness is not None else factor_rank_poly(pi)
     locus = rationally_singular_locus(pi)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.analyze/1",
@@ -302,7 +274,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_classify(args, cfg: RunConfig) -> int:
+def cmd_classify(args, cap: int) -> int:
     try:
         with open(args.flag_file, encoding="utf-8") as fh:
             text = fh.read()
@@ -311,8 +283,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     flag = parse_flag_json(text)
     pi = classify_flag(flag)
     smooth = None
-    if pi.degree <= cfg.max_degree:
-        smooth = is_palindromic(rank_poly(pi, max_degree=cfg.max_degree))
+    if pi.degree <= cap:
+        smooth = is_palindromic(rank_poly(pi))
     payload = {
         "schema": "sporbits.classify/1",
         "orbit": str(pi),
@@ -323,7 +295,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         # classify_flag has checked the flag's rank grid equal to pi's grid c_pi.
         grid = _corner_counts(pi.word, pi.degree)
         payload["grid"] = [list(row[1:]) for row in grid[1:]]
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(payload)
     else:
         print(f"orbit: {pi}")
@@ -338,11 +310,11 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_singular_locus(args, cfg: RunConfig) -> int:
+def cmd_singular_locus(args, cap: int) -> int:
     pi = parse_involution(args.involution)
-    _check_degree(pi.degree, cfg, "degree")
+    check_degree(pi.degree, cap)
     locus = rationally_singular_locus(pi)
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.singular_locus/1",
@@ -361,8 +333,8 @@ def cmd_singular_locus(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_export_bad_patterns(args, cfg: RunConfig) -> int:
-    if cfg.output == "json":
+def cmd_export_bad_patterns(args, cap: int) -> int:
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.bad_patterns/1",
@@ -376,7 +348,7 @@ def cmd_export_bad_patterns(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_table(args, cfg: RunConfig) -> int:
+def cmd_verify_table(args, cap: int) -> int:
     diffs = []
     rows = []
     for pat in BAD_PATTERNS:
@@ -396,7 +368,7 @@ def cmd_verify_table(args, cfg: RunConfig) -> int:
         )
         if not ok:
             diffs.append(str(pat))
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.verify_table/1",
@@ -416,19 +388,12 @@ def cmd_verify_table(args, cfg: RunConfig) -> int:
     return EXIT_OK if not diffs else EXIT_MISMATCH
 
 
-def cmd_verify_theorem(args, cfg: RunConfig) -> int:
+def cmd_verify_theorem(args, cap: int) -> int:
     # Imported here, so the per-element commands do not load the sweep.
     from . import sweep
 
-    top_degree = args.degree if args.degree is not None else cfg.max_degree
-    _check_degree(top_degree, cfg, "--degree")
-    sweep.check_degree(top_degree)
-    if top_degree >= 12:
-        print(
-            f"warning: degree {top_degree} enumerates {fpf_count(top_degree // 2)} involutions;"
-            " this may take a while",
-            file=sys.stderr,
-        )
+    top_degree = args.degree if args.degree is not None else cap
+    check_degree(top_degree, cap, "--degree")
     degree_reports = []
     all_ok = True
     for two_n in range(2, top_degree + 1, 2):
@@ -453,7 +418,7 @@ def cmd_verify_theorem(args, cfg: RunConfig) -> int:
             }
         )
         all_ok = all_ok and not mismatches
-    if cfg.output == "json":
+    if args.output == "json":
         _emit_json(
             {
                 "schema": "sporbits.verify_theorem/1",
@@ -577,8 +542,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config_from(args)
-        return args.handler(args, cfg)
+        cap = DEFAULT_CLI_MAX_DEGREE
+        if args.max_degree_override is not None:
+            check_degree(args.max_degree_override, DEFAULT_MAX_DEGREE, "--max-degree-override")
+            cap = args.max_degree_override
+        return args.handler(args, cap)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -64,8 +64,6 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
     Both endpoints of an edge must lie inside the interval.  Vertices are in
     lexicographic word order, neighbor lists and label lists are sorted.
     """
-    if bottom.degree != top.degree:
-        raise InvolutionError(f"degree mismatch: {bottom.degree} vs {top.degree}")
     if not reverse_leq(bottom, top):
         raise InvolutionError(f"{bottom} is not below {top} in reverse order")
     verts = tuple(v for v in interval(top).members if reverse_leq(bottom, v))
@@ -112,9 +110,7 @@ def bottom_edge_labels(top: FpfInvolution) -> tuple[Transposition, ...]:
 
 def is_regular(top: FpfInvolution) -> bool:
     """True iff every vertex of the full interval graph has degree rank(top)."""
-    g = build_graph(w0(top.n), top)
-    r = rank(top)
-    return all(len(g.adjacency[v]) == r for v in g.vertices)
+    return _graph_is_gap_regular(build_graph(w0(top.n), top))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+# The largest degree any walk, enumeration or sweep covers: 135 135
+# involutions.  A fresh `verify-theorem --degree 14` takes about 8 s and
+# 290 MB (2 cores, Python 3.11): the cover scan about 2 s and 85 MB, the
+# survey's up-sets and counters the rest.  2n = 16 has 2 027 025.
 DEFAULT_MAX_DEGREE = 14
 
 
@@ -23,7 +27,7 @@ class InvolutionError(ValueError):
 
 
 class SizeLimitError(RuntimeError):
-    """A requested enumeration exceeds the configured degree cap."""
+    """A requested degree exceeds its cap; refused before any work."""
 
 
 @dataclass(frozen=True, order=True)
@@ -131,19 +135,31 @@ def all_transpositions(two_n: int) -> tuple[Transposition, ...]:
     return tuple(Transposition(a, d) for a in range(1, two_n) for d in range(a + 1, two_n + 1))
 
 
-def enumerate_fpf(n: int, max_degree: int = DEFAULT_MAX_DEGREE) -> tuple[FpfInvolution, ...]:
+def check_degree(two_n: int, cap: int = DEFAULT_MAX_DEGREE, what: str = "degree") -> None:
+    """Refuse, before any work, a degree that is not positive and even or exceeds cap.
+
+    >>> check_degree(16)
+    Traceback (most recent call last):
+    ...
+    sporbits.involutions.SizeLimitError: degree 16 (2027025 involutions) exceeds the cap 14
+    """
+    if two_n < 2 or two_n % 2:
+        raise InvolutionError(f"{what} must be a positive even degree, got {two_n}")
+    if two_n > cap:
+        hint = " (raise it with --max-degree-override)" if cap < DEFAULT_MAX_DEGREE else ""
+        raise SizeLimitError(f"{what} {two_n} ({fpf_count(two_n // 2)} involutions) exceeds the cap {cap}{hint}")
+
+
+def enumerate_fpf(n: int) -> tuple[FpfInvolution, ...]:
     """All fixed-point-free involutions of {1, ..., 2n}, lexicographic on words.
 
-    The count is (2n-1)!! which grows fast; requests beyond ``max_degree``
-    letters are refused.
+    The count is (2n-1)!! which grows fast; degrees beyond
+    ``DEFAULT_MAX_DEGREE`` are refused.
 
     >>> [str(p) for p in enumerate_fpf(2)]
     ['2143', '3412', '4321']
     """
-    if n < 1:
-        raise SizeLimitError(f"half-degree must be at least 1, got {n}")
-    if 2 * n > max_degree:
-        raise SizeLimitError(f"degree {2 * n} exceeds the enumeration cap {max_degree}")
+    check_degree(2 * n)
     return _enumerate_cached(n)
 
 
@@ -227,6 +243,8 @@ def _conjugate_word(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
 # and holds w(k+1) - 1, so comparing the ints compares the words
 # lexicographically.  Four bits per letter hold at most 16 letters.
 PACKED_MAX_DEGREE = 16
+if DEFAULT_MAX_DEGREE > PACKED_MAX_DEGREE:
+    raise ImportError(f"degree cap {DEFAULT_MAX_DEGREE} exceeds {PACKED_MAX_DEGREE}, the most a packed word holds")
 _NIBBLES = b"0123456789abcdef"
 _ZERO_BASED = bytes.maketrans(_NIBBLES, bytes(range(16)))
 _ONE_BASED = bytes.maketrans(_NIBBLES, bytes(range(1, 17)))

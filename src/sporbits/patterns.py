@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .involutions import FpfInvolution, InvolutionError, SizeLimitError
+from .involutions import FpfInvolution, InvolutionError, check_degree
 
 BAD_PATTERN_WORDS: tuple[str, ...] = (
     "351624",
@@ -185,10 +185,7 @@ def avoiders(two_n: int) -> frozenset[tuple[int, ...]]:
     found = _AVOIDERS.get(two_n)
     if found is not None:
         return found
-    if two_n < 2 or two_n % 2:
-        raise InvolutionError(f"avoiders need a positive even degree, got {two_n}")
-    if two_n > AVOIDERS_MAX_DEGREE:
-        raise SizeLimitError(f"degree {two_n} exceeds the avoider cap {AVOIDERS_MAX_DEGREE}")
+    check_degree(two_n, AVOIDERS_MAX_DEGREE)
     below = avoiders(two_n - 2)
     bad = {pat.word for pat in BAD_PATTERNS}
     # drop[a, d][x]: letter x renumbered once the arc (a, d) is deleted.

@@ -80,23 +80,15 @@ from itertools import zip_longest
 
 from .involutions import (
     FpfInvolution,
-    InvolutionError,
-    SizeLimitError,
     _conjugation_masks,
     _letters,
     _pack,
     _unpack,
-    fpf_count,
+    check_degree,
     open_orbit,
     rank,
 )
 from .patterns import avoiders
-
-# The largest degree a sweep covers: 135 135 involutions, about 8 s and
-# 290 MB for a fresh `verify-theorem --degree 14` (2 cores, Python 3.11).
-# The cover scan builds the tables in about 2 s and 85 MB; the survey's
-# up-sets and counters set the peak.  2n = 16 would scan 2 027 025.
-SWEEP_MAX_DEGREE = 14
 
 
 @dataclass(frozen=True)
@@ -134,19 +126,11 @@ class PosetTables:
 _TABLES: dict[int, PosetTables] = {}
 
 
-def check_degree(two_n: int) -> None:
-    """Refuse, before any scan, a degree that is malformed or beyond the sweep's cap."""
-    if two_n < 2 or two_n % 2:
-        raise InvolutionError(f"a sweep needs a positive even degree, got {two_n}")
-    if two_n > SWEEP_MAX_DEGREE:
-        raise SizeLimitError(
-            f"degree {two_n}: a sweep would walk {fpf_count(two_n // 2)} involutions;"
-            f" sweeps stop at degree {SWEEP_MAX_DEGREE}"
-        )
-
-
 def poset_tables(two_n: int) -> PosetTables:
-    """Words, ranks and upper covers of one degree, built once per process."""
+    """Words, ranks and upper covers of one degree, built once per process.
+
+    A degree beyond `involutions.DEFAULT_MAX_DEGREE` is refused before any scan.
+    """
     cached = _TABLES.get(two_n)
     if cached is not None:
         return cached

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sporbits import cli, sweep
+from sporbits import sweep
 from sporbits.cli import main
 from sporbits.patterns import BOTTOM_VERTEX_TABLE
 from sporbits.geometry import flag_to_json, gram_basis_flag
@@ -47,7 +47,17 @@ class TestBasicCommands:
     def test_override_beyond_hard_max(self, capsys):
         code, _, err = run(capsys, "enumerate", "--degree", "16", "--max-degree-override", "16")
         assert code == 3
-        assert "hard maximum" in err
+        assert "cap 14" in err
+
+    def test_override_hint_only_where_the_cap_can_rise(self, capsys):
+        top16 = ",".join(str(k + 1 if k % 2 else k - 1) for k in range(1, 17))
+        code, out, err = run(capsys, "poly", top16)
+        assert (code, out) == (3, "")
+        assert "exceeds the cap 10 (raise it with --max-degree-override)" in err
+        code, out, err = run(capsys, "poly", top16, "--max-degree-override", "14")
+        assert (code, out) == (3, "")
+        assert "(2027025 involutions) exceeds the cap 14" in err
+        assert "raise it" not in err
 
     def test_rank(self, capsys):
         code, out, _ = run(capsys, "rank", "351624")
@@ -301,13 +311,7 @@ class TestVerifyTheorem:
         code, out, err = run(capsys, "verify-theorem", "--degree", "16", "--max-degree-override", "16")
         assert code == 3
         assert out == ""
-        assert "hard maximum 14" in err
-        # The sweep's own cap refuses 16 even where the CLI's cap allows it.
-        monkeypatch.setattr(cli, "HARD_MAX_DEGREE", 16)
-        code, out, err = run(capsys, "verify-theorem", "--degree", "16", "--max-degree-override", "16")
-        assert code == 3
-        assert out == ""
-        assert "2027025 involutions" in err and "stop at degree 14" in err
+        assert "cap 14" in err and "2027025 involutions" in err
 
     def test_bad_workers(self, capsys):
         # --workers is gone: the sweep runs serially, so the flag is refused.

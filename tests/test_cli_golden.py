@@ -58,7 +58,7 @@ CASES = {
     "singular-locus-json": (["singular-locus", "351624", "--output", "json"], 0, "f76548ef4b90908786896b4060c069d9d0b2789fda0826a1b260092066afd7a6"),
     "export-bad-patterns": (["export-bad-patterns"], 0, "a86fc6a27fb2609d0ad4c7046214d010b1bc81185d044c9699b0750906ce3a1e"),
     "export-bad-patterns-json": (["export-bad-patterns", "--output", "json"], 0, "4a86bad52903252c9b1054d878f6827d1dedb4cf7b5d0ed2fb77c2a674804477"),
-    # Refusals, and the refused factorization in text: nothing on stdout.
+    # Refusals: nothing on stdout.
     "enumerate-over-cap": (["enumerate", "--degree", "12"], 3, EMPTY),
     "poly-over-cap": (["poly", "2,1,4,3,6,5,8,7,10,9,12,11"], 3, EMPTY),
     "verify-theorem-over-cap": (["verify-theorem", "--degree", "12", "--output", "json"], 3, EMPTY),

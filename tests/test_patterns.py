@@ -197,7 +197,7 @@ class TestAvoiders:
         for two_n in (0, 3, -2):
             with pytest.raises(InvolutionError, match="positive even degree"):
                 avoiders(two_n)
-        with pytest.raises(SizeLimitError, match="avoider cap 16"):
+        with pytest.raises(SizeLimitError, match="exceeds the cap 16"):
             avoiders(18)
 
 

@@ -103,7 +103,7 @@ class TestTables:
         # edge: the covers are the down-edges whose rank drops by 1.
         for two_n in range(2, 13, 2):
             tables = sweep.poset_tables(two_n)
-            ranks, edges, ends = _walk(open_orbit(two_n // 2), two_n)
+            ranks, edges, ends = _walk(open_orbit(two_n // 2))
             assert len(tables.packed) == len(ranks) == fpf_count(two_n // 2)
             assert tables.packed == tuple(sorted(ranks))
             index = {p: m for m, p in enumerate(tables.packed)}
@@ -216,7 +216,7 @@ def test_up_degree_at_least_rank_gap_over_every_pair(two_n):
     # Degrees come from the walk, membership from the oracle order.
     import numpy as np
 
-    ranks, edges, ends = _walk(open_orbit(two_n // 2), two_n)
+    ranks, edges, ends = _walk(open_orbit(two_n // 2))
     words = oracles.fpf_words(two_n)
     index = {w: m for m, w in enumerate(words)}
     at = {p: index[_unpack(p, two_n)] for p in ranks}
