@@ -2,7 +2,11 @@
 
 Exit codes: 0 success/verified, 1 verification mismatch, 2 input error,
 3 resource cap exceeded.  All output is deterministic for fixed inputs.
-`verify-theorem` runs the whole-poset sweep of `sweep` serially; its
+Each `cmd_*` handler returns ``(code, payload, lines)``, and `main`, the
+only code that writes stdout, prints the JSON payload for ``--output json``
+and the text (or DOT) lines otherwise.  The lines are lazy where the
+output grows with the input, and where building them would slow a JSON
+query.  `verify-theorem` runs the whole-poset sweep of `sweep`; its
 regularity column is the edge-count test described there.
 """
 
@@ -12,12 +16,15 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import chain
+from typing import Callable, NamedTuple
 
 from .involutions import (
     DEFAULT_MAX_DEGREE,
     InvolutionError,
     SizeLimitError,
     check_degree,
+    enumerate_fpf,
     parse_involution,
     rank,
     w0,
@@ -26,6 +33,7 @@ from .bruhat import (
     PatternObstruction,
     bracket_product,
     factor_rank_poly,
+    interval,
     rank_poly,
     is_palindromic,
     reverse_leq,
@@ -49,41 +57,36 @@ EXIT_CAP = 3
 DEFAULT_CLI_MAX_DEGREE = 10
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _involution(args, cap: int):
+    """The involution argument of a command that walks its lower interval."""
+    pi = parse_involution(args.involution)
+    check_degree(pi.degree, cap)
+    return pi
 
 
-def cmd_enumerate(args, cap: int) -> int:
-    from .involutions import enumerate_fpf
+def _locus_json(locus) -> dict:
+    return {"members": [str(m) for m in locus.members], "maximal": [str(m) for m in locus.maximal]}
 
+
+def cmd_enumerate(args, cap: int):
     check_degree(args.degree, cap, "--degree")
-    elems = enumerate_fpf(args.degree // 2)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.enumerate/1",
-                "degree": args.degree,
-                "count": len(elems),
-                "involutions": [str(p) for p in elems],
-            }
-        )
-    else:
-        for p in elems:
-            print(p)
-    return EXIT_OK
+    words = [str(p) for p in enumerate_fpf(args.degree // 2)]
+    payload = {
+        "schema": "sporbits.enumerate/1",
+        "degree": args.degree,
+        "count": len(words),
+        "involutions": words,
+    }
+    return EXIT_OK, payload, words
 
 
-def cmd_rank(args, cap: int) -> int:
+def cmd_rank(args, cap: int):
     pi = parse_involution(args.involution)
     r = rank(pi)
-    if args.output == "json":
-        _emit_json({"schema": "sporbits.rank/1", "involution": str(pi), "rank": r})
-    else:
-        print(r)
-    return EXIT_OK
+    return EXIT_OK, {"schema": "sporbits.rank/1", "involution": str(pi), "rank": r}, [str(r)]
 
 
-def cmd_order(args, cap: int) -> int:
+def cmd_order(args, cap: int):
     mu = parse_involution(args.mu)
     pi = parse_involution(args.pi)
     below = reverse_leq(mu, pi)
@@ -96,306 +99,205 @@ def cmd_order(args, cap: int) -> int:
         relation = "mu > pi"
     else:
         relation = "incomparable"
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.order/1",
-                "mu": str(mu),
-                "pi": str(pi),
-                "mu_leq_pi": below,
-                "pi_leq_mu": above,
-                "relation": relation,
-            }
-        )
-    else:
-        print(f"mu <= pi: {str(below).lower()}")
-        print(f"pi <= mu: {str(above).lower()}")
-        print(f"relation: {relation}")
-    return EXIT_OK
+    payload = {
+        "schema": "sporbits.order/1",
+        "mu": str(mu),
+        "pi": str(pi),
+        "mu_leq_pi": below,
+        "pi_leq_mu": above,
+        "relation": relation,
+    }
+    lines = [f"mu <= pi: {str(below).lower()}", f"pi <= mu: {str(above).lower()}"]
+    return EXIT_OK, payload, lines + [f"relation: {relation}"]
 
 
-def cmd_interval(args, cap: int) -> int:
-    from .bruhat import interval
-
-    pi = parse_involution(args.involution)
-    check_degree(pi.degree, cap)
+def cmd_interval(args, cap: int):
+    pi = _involution(args, cap)
     iv = interval(pi)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.interval/1",
-                "top": str(pi),
-                "count": len(iv.members),
-                "members": [
-                    {"involution": str(mu), "rank": iv.rank_of[mu]} for mu in iv.members
-                ],
-            }
-        )
-    else:
-        for mu in iv.members:
-            print(f"{mu} {iv.rank_of[mu]}")
-    return EXIT_OK
+    members = [{"involution": str(mu), "rank": iv.rank_of[mu]} for mu in iv.members]
+    payload = {
+        "schema": "sporbits.interval/1",
+        "top": str(pi),
+        "count": len(members),
+        "members": members,
+    }
+    return EXIT_OK, payload, (f"{m['involution']} {m['rank']}" for m in members)
 
 
-def cmd_poly(args, cap: int) -> int:
-    pi = parse_involution(args.involution)
-    check_degree(pi.degree, cap)
+def cmd_poly(args, cap: int):
+    pi = _involution(args, cap)
     poly = rank_poly(pi)
     palin = is_palindromic(poly)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.poly/1",
-                "involution": str(pi),
-                "coeffs": poly.to_json(),
-                "palindromic": palin,
-            }
-        )
-    else:
-        print(f"rank polynomial of {pi}: {poly.to_json()}")
-        print(f"palindromic: {'yes' if palin else 'no'}")
-    return EXIT_OK
+    payload = {
+        "schema": "sporbits.poly/1",
+        "involution": str(pi),
+        "coeffs": poly.to_json(),
+        "palindromic": palin,
+    }
+    return EXIT_OK, payload, [
+        f"rank polynomial of {pi}: {payload['coeffs']}",
+        f"palindromic: {'yes' if palin else 'no'}",
+    ]
 
 
-def cmd_factor(args, cap: int) -> int:
+def cmd_factor(args, cap: int):
     pi = parse_involution(args.involution)
+    payload = {"schema": "sporbits.factor/1", "involution": str(pi)}
     try:
         exponents = factor_rank_poly(pi)
     except PatternObstruction as exc:
-        if args.output == "json":
-            _emit_json(
-                {
-                    "schema": "sporbits.factor/1",
-                    "involution": str(pi),
-                    "refused": True,
-                    "witness": exc.witness.to_json(),
-                }
-            )
-        else:
+        # A refusal prints nothing on stdout in text mode: its reason goes to stderr.
+        if args.output == "text":
             print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    product = bracket_product(exponents)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.factor/1",
-                "involution": str(pi),
-                "refused": False,
-                "exponents": list(exponents),
-                "product": product.to_json(),
-            }
-        )
-    else:
-        print(f"bracket exponents: {list(exponents)}")
-        print(f"product: {product.to_json()}")
-    return EXIT_OK
+        return EXIT_INPUT, {**payload, "refused": True, "witness": exc.witness.to_json()}, ()
+    product = bracket_product(exponents).to_json()
+    payload.update(refused=False, exponents=list(exponents), product=product)
+    return EXIT_OK, payload, [f"bracket exponents: {list(exponents)}", f"product: {product}"]
 
 
-def cmd_graph(args, cap: int) -> int:
-    pi = parse_involution(args.involution)
-    check_degree(pi.degree, cap)
+def cmd_graph(args, cap: int):
+    pi = _involution(args, cap)
     bottom = parse_involution(args.bottom) if args.bottom else w0(pi.n)
     g = build_graph(bottom, pi)
     if args.output == "dot":
-        print(to_dot(g), end="")
-    elif args.output == "json":
-        _emit_json(graph_to_json(g))
-    else:
-        print(f"interval [{g.bottom}, {g.top}]: {len(g.vertices)} vertices, {g.edge_count} edges")
-        print(f"rank gap: {g.rank_gap}")
-        for (u, v), ts in g.edge_labels.items():
-            print(f"{u} -- {v} [{','.join(t.label for t in ts)}]")
-    return EXIT_OK
+        return EXIT_OK, None, to_dot(g).splitlines()
+    # The JSON form is as large as the graph: build it only to print it.
+    payload = graph_to_json(g) if args.output == "json" else None
+    header = [
+        f"interval [{g.bottom}, {g.top}]: {len(g.vertices)} vertices, {g.edge_count} edges",
+        f"rank gap: {g.rank_gap}",
+    ]
+    edges = (f"{u} -- {v} [{','.join(t.label for t in ts)}]" for (u, v), ts in g.edge_labels.items())
+    return EXIT_OK, payload, chain(header, edges)
 
 
-def cmd_avoid(args, cap: int) -> int:
+def cmd_avoid(args, cap: int):
     pi = parse_involution(args.involution)
     witness = bad_pattern_witness(pi)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.avoid/1",
-                "involution": str(pi),
-                "avoids": witness is None,
-                "witness": None if witness is None else witness.to_json(),
-            }
-        )
-    elif witness is None:
-        print(f"{pi} avoids all {len(BAD_PATTERNS)} bad patterns")
-    else:
-        print(f"{pi} contains {witness}")
-    return EXIT_OK
+    payload = {
+        "schema": "sporbits.avoid/1",
+        "involution": str(pi),
+        "avoids": witness is None,
+        "witness": None if witness is None else witness.to_json(),
+    }
+    if witness is None:
+        return EXIT_OK, payload, [f"{pi} avoids all {len(BAD_PATTERNS)} bad patterns"]
+    return EXIT_OK, payload, [f"{pi} contains {witness}"]
 
 
-def cmd_analyze(args, cap: int) -> int:
-    pi = parse_involution(args.involution)
-    check_degree(pi.degree, cap)
+def cmd_analyze(args, cap: int):
+    pi = _involution(args, cap)
     if args.output == "dot":
-        print(to_dot(build_graph(w0(pi.n), pi)), end="")
-        return EXIT_OK
+        return EXIT_OK, None, to_dot(build_graph(w0(pi.n), pi)).splitlines()
     witness = bad_pattern_witness(pi)
     poly = rank_poly(pi)
     palin = is_palindromic(poly)
     exponents = None if witness is not None else factor_rank_poly(pi)
-    locus = rationally_singular_locus(pi)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.analyze/1",
-                "involution": str(pi),
-                "degree": pi.degree,
-                "rank": rank(pi),
-                "rationally_smooth": palin,
-                "witness": None if witness is None else witness.to_json(),
-                "rank_poly": poly.to_json(),
-                "factor_exponents": None if exponents is None else list(exponents),
-                "singular_locus": {
-                    "members": [str(m) for m in locus.members],
-                    "maximal": [str(m) for m in locus.maximal],
-                },
-            }
-        )
-    else:
-        print(f"involution {pi} (degree {pi.degree})")
-        print(f"rank: {rank(pi)}")
-        print(f"rationally smooth: {'yes' if palin else 'no'}")
+    locus = _locus_json(rationally_singular_locus(pi))
+    payload = {
+        "schema": "sporbits.analyze/1",
+        "involution": str(pi),
+        "degree": pi.degree,
+        "rank": rank(pi),
+        "rationally_smooth": palin,
+        "witness": None if witness is None else witness.to_json(),
+        "rank_poly": poly.to_json(),
+        "factor_exponents": None if exponents is None else list(exponents),
+        "singular_locus": locus,
+    }
+
+    def lines():
+        yield f"involution {pi} (degree {pi.degree})"
+        yield f"rank: {payload['rank']}"
+        yield f"rationally smooth: {'yes' if palin else 'no'}"
         if witness is None:
-            print("bad pattern: none")
-            print(f"factorization exponents: {list(exponents)}")
+            yield "bad pattern: none"
+            yield f"factorization exponents: {payload['factor_exponents']}"
         else:
-            print(f"bad pattern: {witness}")
-            print("factorization: refused (contains a bad pattern)")
-        print(f"rank polynomial: {poly.to_json()} ({poly.pretty()})")
-        if locus.members:
-            print(f"rationally singular locus: {', '.join(str(m) for m in locus.members)}")
-            print(f"maximal singular orbits: {', '.join(str(m) for m in locus.maximal)}")
+            yield f"bad pattern: {witness}"
+            yield "factorization: refused (contains a bad pattern)"
+        yield f"rank polynomial: {payload['rank_poly']} ({poly.pretty()})"
+        if not locus["members"]:
+            yield "rationally singular locus: empty"
         else:
-            print("rationally singular locus: empty")
-    return EXIT_OK
+            yield f"rationally singular locus: {', '.join(locus['members'])}"
+            yield f"maximal singular orbits: {', '.join(locus['maximal'])}"
+
+    return EXIT_OK, payload, lines()
 
 
-def cmd_classify(args, cap: int) -> int:
+def cmd_classify(args, cap: int):
     try:
         with open(args.flag_file, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise FlagError(f"cannot read flag file: {exc}") from exc
-    flag = parse_flag_json(text)
-    pi = classify_flag(flag)
-    smooth = None
-    if pi.degree <= cap:
-        smooth = is_palindromic(rank_poly(pi))
+    pi = classify_flag(parse_flag_json(text))
+    smooth = is_palindromic(rank_poly(pi)) if pi.degree <= cap else None
     payload = {
         "schema": "sporbits.classify/1",
         "orbit": str(pi),
         "rank": rank(pi),
         "rationally_smooth": smooth,
     }
+    verdict = "skipped (degree beyond cap)" if smooth is None else ("yes" if smooth else "no")
+    lines = [f"orbit: {pi}", f"rank: {payload['rank']}", f"rationally smooth: {verdict}"]
     if args.grid:
         # classify_flag has checked the flag's rank grid equal to pi's grid c_pi.
         grid = _corner_counts(pi.word, pi.degree)
         payload["grid"] = [list(row[1:]) for row in grid[1:]]
-    if args.output == "json":
-        _emit_json(payload)
-    else:
-        print(f"orbit: {pi}")
-        print(f"rank: {rank(pi)}")
-        if smooth is None:
-            print("rationally smooth: skipped (degree beyond cap)")
-        else:
-            print(f"rationally smooth: {'yes' if smooth else 'no'}")
-        if args.grid:
-            for row in payload["grid"]:
-                print(" ".join(str(x) for x in row))
-    return EXIT_OK
+        lines = chain(lines, (" ".join(str(x) for x in row) for row in payload["grid"]))
+    return EXIT_OK, payload, lines
 
 
-def cmd_singular_locus(args, cap: int) -> int:
-    pi = parse_involution(args.involution)
-    check_degree(pi.degree, cap)
+def cmd_singular_locus(args, cap: int):
+    pi = _involution(args, cap)
     locus = rationally_singular_locus(pi)
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.singular_locus/1",
-                "involution": str(pi),
-                "members": [str(m) for m in locus.members],
-                "maximal": [str(m) for m in locus.maximal],
-            }
-        )
-    else:
-        if not locus.members:
-            print("rationally singular locus: empty")
-        else:
-            for m in locus.members:
-                marker = " (maximal)" if m in locus.maximal else ""
-                print(f"{m}{marker}")
-    return EXIT_OK
+    payload = {"schema": "sporbits.singular_locus/1", "involution": str(pi), **_locus_json(locus)}
+    if not locus.members:
+        return EXIT_OK, payload, ["rationally singular locus: empty"]
+    maximal = set(locus.maximal)
+    return EXIT_OK, payload, (f"{m} (maximal)" if m in maximal else str(m) for m in locus.members)
 
 
-def cmd_export_bad_patterns(args, cap: int) -> int:
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.bad_patterns/1",
-                "count": len(BAD_PATTERNS),
-                "patterns": [str(p) for p in BAD_PATTERNS],
-            }
-        )
-    else:
-        for p in BAD_PATTERNS:
-            print(p)
-    return EXIT_OK
+def cmd_export_bad_patterns(args, cap: int):
+    patterns = [str(p) for p in BAD_PATTERNS]
+    payload = {"schema": "sporbits.bad_patterns/1", "count": len(patterns), "patterns": patterns}
+    return EXIT_OK, payload, patterns
 
 
-def cmd_verify_table(args, cap: int) -> int:
-    diffs = []
-    rows = []
+def cmd_verify_table(args, cap: int):
+    rows, lines = [], []
     for pat in BAD_PATTERNS:
         expected_rank, expected_labels = BOTTOM_VERTEX_TABLE[str(pat)]
-        got_rank = rank(pat)
-        got_labels = tuple(t.label for t in bottom_edge_labels(pat))
-        ok = got_rank == expected_rank and got_labels == tuple(expected_labels)
-        rows.append(
-            {
-                "pattern": str(pat),
-                "rank": got_rank,
-                "edges": list(got_labels),
-                "expected_rank": expected_rank,
-                "expected_edges": list(expected_labels),
-                "ok": ok,
-            }
-        )
-        if not ok:
-            diffs.append(str(pat))
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.verify_table/1",
-                "rows": rows,
-                "diffs": diffs,
-                "ok": not diffs,
-            }
-        )
+        row = {
+            "pattern": str(pat),
+            "rank": rank(pat),
+            "edges": [t.label for t in bottom_edge_labels(pat)],
+            "expected_rank": expected_rank,
+            "expected_edges": list(expected_labels),
+        }
+        row["ok"] = row["rank"] == expected_rank and row["edges"] == row["expected_edges"]
+        rows.append(row)
+        status = "ok" if row["ok"] else "DIFF"
+        lines.append(f"{pat}  rank {row['rank']}  edges {','.join(row['edges'])}  {status}")
+    diffs = [row["pattern"] for row in rows if not row["ok"]]
+    payload = {"schema": "sporbits.verify_table/1", "rows": rows, "diffs": diffs, "ok": not diffs}
+    if diffs:
+        lines.append(f"verify-table: MISMATCH ({len(diffs)} of {len(rows)} rows differ)")
     else:
-        for row in rows:
-            status = "ok" if row["ok"] else "DIFF"
-            print(f"{row['pattern']}  rank {row['rank']}  edges {','.join(row['edges'])}  {status}")
-        if diffs:
-            print(f"verify-table: MISMATCH ({len(diffs)} of {len(rows)} rows differ)")
-        else:
-            print(f"verify-table: OK ({len(rows)} rows)")
-    return EXIT_OK if not diffs else EXIT_MISMATCH
+        lines.append(f"verify-table: OK ({len(rows)} rows)")
+    return EXIT_OK if not diffs else EXIT_MISMATCH, payload, lines
 
 
-def cmd_verify_theorem(args, cap: int) -> int:
+def cmd_verify_theorem(args, cap: int):
     # Imported here, so the per-element commands do not load the sweep.
     from . import sweep
 
     top_degree = args.degree if args.degree is not None else cap
     check_degree(top_degree, cap, "--degree")
     degree_reports = []
-    all_ok = True
+    lines = []
     for two_n in range(2, top_degree + 1, 2):
         survey = sweep.theorem_survey(two_n)
         mismatches = [
@@ -410,44 +312,61 @@ def cmd_verify_theorem(args, cap: int) -> int:
         ]
         smooth = sum(1 for row in survey if row.palindromic)
         degree_reports.append(
-            {
-                "degree": two_n,
-                "count": len(survey),
-                "smooth": smooth,
-                "mismatches": mismatches,
-            }
+            {"degree": two_n, "count": len(survey), "smooth": smooth, "mismatches": mismatches}
         )
-        all_ok = all_ok and not mismatches
-    if args.output == "json":
-        _emit_json(
-            {
-                "schema": "sporbits.verify_theorem/1",
-                "max_degree": top_degree,
-                "degrees": degree_reports,
-                "ok": all_ok,
-            }
+        verdict = f"{len(mismatches)} MISMATCHES" if mismatches else "equivalence holds"
+        lines.append(
+            f"degree {two_n}: {len(survey)} involutions, {smooth} rationally smooth, {verdict}"
         )
-    else:
-        for rep in degree_reports:
-            verdict = "equivalence holds" if not rep["mismatches"] else f"{len(rep['mismatches'])} MISMATCHES"
-            print(
-                f"degree {rep['degree']}: {rep['count']} involutions, "
-                f"{rep['smooth']} rationally smooth, {verdict}"
-            )
-            for bad in rep["mismatches"]:
-                print(
-                    f"  counterexample {bad['involution']}: avoids={bad['avoids']} "
-                    f"palindromic={bad['palindromic']} regular={bad['regular']}"
-                )
-        print(f"verify-theorem: {'OK' if all_ok else 'MISMATCH'} (degrees 2..{top_degree})")
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+        lines += (
+            f"  counterexample {bad['involution']}: avoids={bad['avoids']} "
+            f"palindromic={bad['palindromic']} regular={bad['regular']}"
+            for bad in mismatches
+        )
+    all_ok = not any(rep["mismatches"] for rep in degree_reports)
+    lines.append(f"verify-theorem: {'OK' if all_ok else 'MISMATCH'} (degrees 2..{top_degree})")
+    payload = {
+        "schema": "sporbits.verify_theorem/1",
+        "max_degree": top_degree,
+        "degrees": degree_reports,
+        "ok": all_ok,
+    }
+    return EXIT_OK if all_ok else EXIT_MISMATCH, payload, lines
 
 
-def _add_common(sub: argparse.ArgumentParser, dot: bool = False) -> None:
+class Command(NamedTuple):
+    """One subcommand: `build_parser` adds its arguments, `main` calls its handler."""
+    name: str
+    handler: Callable
+    help: str
+    positionals: tuple[str, ...] = ("involution",)
+    # (option string, add_argument keywords)
+    options: tuple[tuple[str, dict], ...] = ()
     # Only the commands that render a graph accept --output dot.
-    formats = ("text", "json", "dot") if dot else ("text", "json")
-    sub.add_argument("--output", choices=formats, default="text")
-    sub.add_argument("--max-degree-override", type=int, default=None, dest="max_degree_override")
+    dot: bool = False
+
+
+COMMANDS = (
+    Command("enumerate", cmd_enumerate, "list all involutions of a degree", (),
+            (("--degree", {"type": int, "required": True}),)),
+    Command("rank", cmd_rank, "poset rank of an involution"),
+    Command("order", cmd_order, "compare two involutions in reverse order", ("mu", "pi")),
+    Command("interval", cmd_interval, "all involutions below a given one"),
+    Command("poly", cmd_poly, "rank generating polynomial of the lower interval"),
+    Command("factor", cmd_factor, "bracket factorization of the rank polynomial"),
+    Command("graph", cmd_graph, "interval graph; --output dot for DOT", options=(("--bottom", {}),),
+            dot=True),
+    Command("avoid", cmd_avoid, "check the 17 bad patterns"),
+    Command("analyze", cmd_analyze, "full smoothness report for one involution", dot=True),
+    Command("classify", cmd_classify, "orbit of a flag matrix from a JSON file", ("flag_file",),
+            (("--grid", {"action": "store_true", "help": "also print the pairing rank grid"}),)),
+    Command("verify-theorem", cmd_verify_theorem, "exhaustive three-way equivalence sweep", (),
+            (("--degree", {"type": int}),)),
+    Command("verify-table", cmd_verify_table, "recompute the 17-row bottom-vertex table", ()),
+    Command("singular-locus", cmd_singular_locus, "rationally singular locus of an orbit closure"),
+    Command("export-bad-patterns", cmd_export_bad_patterns, "emit the 17-pattern list for audit",
+            ()),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,78 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
         "acting on complete flags, parametrized by fixed-point-free involutions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("enumerate", help="list all involutions of a degree")
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("rank", help="poset rank of an involution")
-    p.add_argument("involution")
-    _add_common(p)
-    p.set_defaults(handler=cmd_rank)
-
-    p = sub.add_parser("order", help="compare two involutions in reverse order")
-    p.add_argument("mu")
-    p.add_argument("pi")
-    _add_common(p)
-    p.set_defaults(handler=cmd_order)
-
-    p = sub.add_parser("interval", help="all involutions below a given one")
-    p.add_argument("involution")
-    _add_common(p)
-    p.set_defaults(handler=cmd_interval)
-
-    p = sub.add_parser("poly", help="rank generating polynomial of the lower interval")
-    p.add_argument("involution")
-    _add_common(p)
-    p.set_defaults(handler=cmd_poly)
-
-    p = sub.add_parser("factor", help="bracket factorization of the rank polynomial")
-    p.add_argument("involution")
-    _add_common(p)
-    p.set_defaults(handler=cmd_factor)
-
-    p = sub.add_parser("graph", help="interval graph; --output dot for DOT")
-    p.add_argument("involution")
-    p.add_argument("--bottom", default=None)
-    _add_common(p, dot=True)
-    p.set_defaults(handler=cmd_graph)
-
-    p = sub.add_parser("avoid", help="check the 17 bad patterns")
-    p.add_argument("involution")
-    _add_common(p)
-    p.set_defaults(handler=cmd_avoid)
-
-    p = sub.add_parser("analyze", help="full smoothness report for one involution")
-    p.add_argument("involution")
-    _add_common(p, dot=True)
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser("classify", help="orbit of a flag matrix from a JSON file")
-    p.add_argument("flag_file")
-    p.add_argument("--grid", action="store_true", help="also print the pairing rank grid")
-    _add_common(p)
-    p.set_defaults(handler=cmd_classify)
-
-    p = sub.add_parser("verify-theorem", help="exhaustive three-way equivalence sweep")
-    p.add_argument("--degree", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=cmd_verify_theorem)
-
-    p = sub.add_parser("verify-table", help="recompute the 17-row bottom-vertex table")
-    _add_common(p)
-    p.set_defaults(handler=cmd_verify_table)
-
-    p = sub.add_parser("singular-locus", help="rationally singular locus of an orbit closure")
-    p.add_argument("involution")
-    _add_common(p)
-    p.set_defaults(handler=cmd_singular_locus)
-
-    p = sub.add_parser("export-bad-patterns", help="emit the 17-pattern list for audit")
-    _add_common(p)
-    p.set_defaults(handler=cmd_export_bad_patterns)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help)
+        for name in cmd.positionals:
+            p.add_argument(name)
+        for option, kwargs in cmd.options:
+            p.add_argument(option, **kwargs)
+        formats = ("text", "json", "dot") if cmd.dot else ("text", "json")
+        p.add_argument("--output", choices=formats, default="text")
+        p.add_argument("--max-degree-override", type=int)
+        p.set_defaults(handler=cmd.handler)
     return parser
 
 
@@ -546,13 +403,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.max_degree_override is not None:
             check_degree(args.max_degree_override, DEFAULT_MAX_DEGREE, "--max-degree-override")
             cap = args.max_degree_override
-        return args.handler(args, cap)
-    except SizeLimitError as exc:
+        code, payload, lines = args.handler(args, cap)
+    except (SizeLimitError, InvolutionError, FlagError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (InvolutionError, FlagError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CAP if isinstance(exc, SizeLimitError) else EXIT_INPUT
+    if args.output == "json":
+        print(json.dumps(payload, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from .involutions import FpfInvolution, InvolutionError
+from .involutions import PACKED_MAX_DEGREE, FpfInvolution, InvolutionError, SizeLimitError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -343,11 +343,18 @@ def flag_to_json(flag: FlagMatrix) -> str:
 
 
 def parse_flag_json(text: str) -> FlagMatrix:
-    """Parse a JSON array of arrays; entries may be "p/q" strings or integers."""
+    """Parse a JSON array of arrays; entries may be "p/q" strings or integers.
+
+    More than PACKED_MAX_DEGREE (16) rows is refused with SizeLimitError
+    right after the JSON is read, before any entry is coerced, so the work
+    a flag file can ask for is bounded up front, as every degree is.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FlagError(f"flag file is not valid JSON: {exc}") from exc
+    if isinstance(data, list) and len(data) > PACKED_MAX_DEGREE:
+        raise SizeLimitError(f"flag matrix has {len(data)} rows, more than the cap {PACKED_MAX_DEGREE}")
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise FlagError("flag file must be a JSON array of arrays")
     return FlagMatrix(tuple(map(tuple, data)))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -226,6 +229,22 @@ class TestClassify:
         assert out == ""
         assert "bad rational at row 1, column 1" in err
 
+    def test_size_cap_before_coercion(self, capsys, tmp_path):
+        # Booleans are refused entry by entry with exit 2; exit 3 shows that
+        # the 16-row cap refused the file before any entry was read.
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps([[True] * 18 for _ in range(18)]))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (3, "")
+        assert "18 rows, more than the cap 16" in err
+
+    @pytest.mark.parametrize("rows", [[], [[1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    def test_empty_and_odd_sizes_are_input_errors(self, capsys, tmp_path, rows):
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(rows))
+        code, out, _ = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+
 
 # The two rows the reference table carried before they were corrected;
 # patched back in, they exercise the diff path of verify-table.
@@ -326,3 +345,21 @@ class TestVerifyTheorem:
             main(["verify-theorem", "--degree", "4", "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def test_module_entry_point_in_a_process():
+    # Every other test calls main() in-process; this runs `python -m sporbits.cli`.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        (["rank", "351624"], 0, "4\n"),
+        (["rank", "351624", "--output", "dot"], 2, ""),  # refused by argparse
+        (["enumerate", "--degree", "12"], 3, ""),
+    ]
+    got = []
+    for argv, _, _ in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sporbits.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        got.append((argv, proc.returncode, proc.stdout))
+    assert got == runs

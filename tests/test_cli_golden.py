@@ -2,27 +2,32 @@
 
 Every command runs in text and JSON at 2n <= 8 (DOT too for `graph` and
 `analyze`), beside the refusals: over the cap, a bad override, an odd
-degree and bad text.  The pinned values were captured from the CLI before
-its degree checks were merged into `involutions.check_degree`, so any
-change to a command's stdout or exit code fails here.  Stderr is not
-pinned: its wording may change.
+degree, bad text and a flag over the 16-row cap.  The pinned values were
+captured from the CLI before its degree checks were merged into
+`involutions.check_degree` and before its handlers returned payloads to one
+emitter in `main`, so any change to a command's stdout or exit code fails
+here.  Stderr is not pinned: its wording may change.  Every command of
+`cli.COMMANDS` must have a case for each `--output` it accepts, and every
+JSON stdout must be one object with a string "schema".
 
 To see a case's current value, run
 ``python -m sporbits.cli <argv>`` and hash its stdout with ``sha256sum``
-(write the flag file as `flag_file` does for `classify`).
+(write the flag files as `flag_files` does for `classify`).
 """
 
 import hashlib
+import json
 
 import pytest
 
-from sporbits.cli import main
+from sporbits.cli import COMMANDS, main
 from sporbits.geometry import flag_to_json, gram_basis_flag, random_symplectic, transform_flag
 from sporbits.involutions import parse_involution
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
-# id -> (argv, exit code, sha256 of stdout); "{flag}" is the flag file.
+# id -> (argv, exit code, sha256 of stdout); "{flag}" and "{identity18}" are
+# the flag files.
 CASES = {
     "enumerate": (["enumerate", "--degree", "8"], 0, "0d3bfbca10c09b40556d3852db29b243f296edc3716fe326cd9f6e4a24054ad5"),
     "enumerate-json": (["enumerate", "--degree", "6", "--output", "json"], 0, "ed42c8af19058ccc60ee36a991c2da9df10d4344bff357542defa4d3ad95bcf9"),
@@ -49,6 +54,7 @@ CASES = {
     "classify": (["classify", "{flag}", "--grid"], 0, "ab897ea8c8b3508121dc92511cf5659fb3def97933a99b0e8ef1f34fc2526fd9"),
     "classify-json": (["classify", "{flag}", "--output", "json"], 0, "deb4615de4bca1c0e4ce586fa305a8921c8ae215309ca39385b97a3746a6f0ea"),
     "classify-beyond-cap": (["classify", "{flag}", "--max-degree-override", "6"], 0, "df44917ae22f1d28166096f2a9b3652f6172f66336e313be64448f8ad59ed368"),
+    "classify-over-cap": (["classify", "{identity18}"], 3, EMPTY),
     "verify-theorem": (["verify-theorem", "--degree", "8"], 0, "f95ea7db32893c7723006af96a4d6906eec149771754ef40135369d1fab0b5b8"),
     "verify-theorem-json": (["verify-theorem", "--degree", "6", "--output", "json"], 0, "13ebf86240d50a4018708d3e3314b8168d551d51a2cdf96038a833f966029eae"),
     "verify-theorem-default": (["verify-theorem", "--max-degree-override", "6"], 0, "a76fdc38150099f691e953eddccc940002f240370ee3a809cf8d661072659453"),
@@ -70,17 +76,42 @@ CASES = {
 }
 
 
+def _output(argv):
+    return argv[argv.index("--output") + 1] if "--output" in argv else "text"
+
+
 @pytest.fixture(scope="module")
-def flag_file(tmp_path_factory):
+def flag_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("golden")
     flag = transform_flag(gram_basis_flag(parse_involution("64827153")), random_symplectic(4, 5))
-    path = tmp_path_factory.mktemp("golden") / "flag.json"
-    path.write_text(flag_to_json(flag))
-    return str(path)
+    (tmp / "flag.json").write_text(flag_to_json(flag))
+    (tmp / "identity18.json").write_text(json.dumps([[int(i == j) for j in range(18)] for i in range(18)]))
+    return {"{flag}": str(tmp / "flag.json"), "{identity18}": str(tmp / "identity18.json")}
+
+
+def _run(capsys, flag_files, argv):
+    code = main([flag_files.get(a, a) for a in argv])
+    return code, capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_stdout(capsys, flag_file, case):
+def test_golden_stdout(capsys, flag_files, case):
     argv, code, digest = CASES[case]
-    got = main([flag_file if a == "{flag}" else a for a in argv])
-    out = capsys.readouterr().out
+    got, out = _run(capsys, flag_files, argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_every_command_output_is_pinned():
+    wanted = {(c.name, fmt) for c in COMMANDS for fmt in ("text", "json") + (("dot",) if c.dot else ())}
+    pinned = {(argv[0], _output(argv)) for argv, code, _ in CASES.values() if code == 0}
+    assert wanted - pinned == set()
+
+
+JSON_CASES = sorted(k for k, (argv, _, digest) in CASES.items() if _output(argv) == "json" and digest != EMPTY)
+
+
+@pytest.mark.parametrize("case", JSON_CASES)
+def test_json_stdout_is_one_object_with_a_schema(capsys, flag_files, case):
+    _, out = _run(capsys, flag_files, CASES[case][0])
+    data = json.loads(out)
+    assert isinstance(data, dict) and isinstance(data.get("schema"), str)
