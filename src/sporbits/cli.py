@@ -189,10 +189,13 @@ def cmd_analyze(args, cap: int):
     pi = _involution(args, cap)
     if args.output == "dot":
         return EXIT_OK, None, to_dot(build_graph(w0(pi.n), pi)).splitlines()
-    witness = bad_pattern_witness(pi)
+    # One pattern search: factor_rank_poly refuses with the witness.
+    try:
+        exponents, witness = factor_rank_poly(pi), None
+    except PatternObstruction as exc:
+        exponents, witness = None, exc.witness
     poly = rank_poly(pi)
     palin = is_palindromic(poly)
-    exponents = None if witness is not None else factor_rank_poly(pi)
     locus = _locus_json(rationally_singular_locus(pi))
     payload = {
         "schema": "sporbits.analyze/1",

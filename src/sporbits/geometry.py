@@ -197,9 +197,9 @@ class FlagMatrix:
     def __post_init__(self) -> None:
         coerced = []
         for i, row in enumerate(self.rows, start=1):
+            if len(row) != len(self.rows):
+                raise FlagError(f"row {i} has {len(row)} entries, expected {len(self.rows)}")
             coerced.append(tuple(_rational(x, i, j) for j, x in enumerate(row, start=1)))
-            if len(coerced[-1]) != len(self.rows):
-                raise FlagError(f"row {i} has {len(coerced[-1])} entries, expected {len(self.rows)}")
         rows = tuple(coerced)
         object.__setattr__(self, "rows", rows)
         size = len(rows)

@@ -1,17 +1,19 @@
 """Graphs on reverse-order intervals of fixed-point-free involutions.
 
 Two interval members are adjacent when one is the conjugate of the other by
-a transposition; an edge can carry several transposition labels, but vertex
-degree counts distinct neighbors.  The degree of the bottom vertex of
-[mu, pi] against the rank gap r(pi) - r(mu) is the pointwise test for
-rational smoothness (the Carrell-Peterson degree criterion); vertices
-exceeding the gap are irregular.
+a transposition; an edge carries exactly two transposition labels, t and
+w*t*w, and vertex degree counts distinct neighbors.  The degree of the
+bottom vertex of [mu, pi] against the rank gap r(pi) - r(mu) is the
+pointwise test for rational smoothness (the Carrell-Peterson degree
+criterion); vertices exceeding the gap are irregular.
 
 Vertex sets come from the downward walk of `bruhat.interval`.  By its
 direction rule a conjugate t*mu*t != mu lies above mu exactly when
 mu(a) > mu(d) for t = (a, d), a < d, so the neighbors of mu in [mu, pi] are
 its conjugates with that property that lie in the interval below pi; no
-order comparison is needed to find them.  The singular locus reads these
+order comparison is needed to find them.  `involutions._conjugates_above`
+is the one neighbor finder here: the graph takes each edge once, from its
+lower end, with that helper's least label.  The singular locus reads these
 up-edges and the ranks straight from the walk's packed words (at most 16
 letters), and reuses the walk `rank_poly` just made for the same top.
 """
@@ -27,11 +29,8 @@ from .involutions import (
     FpfInvolution,
     InvolutionError,
     Transposition,
-    _conjugate_word,
     _conjugates_above,
     _unpack,
-    all_transpositions,
-    conjugate,
     delete_pair_standardize,
     encapsulation_count,
     rank,
@@ -68,18 +67,19 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
         raise InvolutionError(f"{bottom} is not below {top} in reverse order")
     verts = tuple(v for v in interval(top).members if reverse_leq(bottom, v))
     by_word = {v.word: v for v in verts}
-    labels: dict[tuple[FpfInvolution, FpfInvolution], list[Transposition]] = {}
-    neighbors: dict[FpfInvolution, set[FpfInvolution]] = {v: set() for v in verts}
-    for u in verts:
-        for t in all_transpositions(top.degree):
-            v = by_word.get(_conjugate_word(u.word, t.a, t.d))
-            if v is None or v is u:
-                continue
-            neighbors[u].add(v)
-            if u.word < v.word:
-                labels.setdefault((u, v), []).append(t)
-    adjacency = {u: tuple(sorted(ns)) for u, ns in neighbors.items()}
-    edge_labels = {e: tuple(sorted(ts)) for e, ts in sorted(labels.items())}
+    neighbors: dict[tuple[int, ...], list[tuple[int, ...]]] = {w: [] for w in by_word}
+    edges = []
+    for w in by_word:
+        for nu, (a, d) in _conjugates_above(w).items():
+            if nu in neighbors:
+                neighbors[w].append(nu)
+                neighbors[nu].append(w)
+                edges.append((min(w, nu), max(w, nu), a, d, w[d - 1], w[a - 1]))
+    edges.sort()
+    adjacency = {by_word[w]: tuple(by_word[x] for x in sorted(ns)) for w, ns in neighbors.items()}
+    edge_labels = {
+        (by_word[u], by_word[v]): (Transposition(a, d), Transposition(b, c)) for u, v, a, d, b, c in edges
+    }
     return BruhatGraph(bottom, top, verts, adjacency, edge_labels)
 
 
@@ -94,18 +94,12 @@ def bottom_edge_labels(top: FpfInvolution) -> tuple[Transposition, ...]:
     """Canonical labels of the edges at the bottom vertex of the interval below top.
 
     Each edge joins w0 to a distinct conjugate t*w0*t inside the interval;
-    several transpositions can produce the same conjugate (for w0 the mirror
-    t' = w0*t*w0 always does), so each edge is reported once, under its
-    lexicographically least label.  The result has one entry per neighbor of
-    the bottom vertex.
+    it has two labels, t and the mirror w0*t*w0, so each edge is reported
+    once, under the lesser label, as `_conjugates_above` gives it.  The
+    result has one entry per neighbor of the bottom vertex.
     """
-    bottom = w0(top.n)
-    canonical: dict[FpfInvolution, Transposition] = {}
-    for t in all_transpositions(top.degree):
-        v = conjugate(bottom, t)
-        if v != bottom and v not in canonical and reverse_leq(v, top):
-            canonical[v] = t
-    return tuple(sorted(canonical.values()))
+    above = _conjugates_above(w0(top.n).word)
+    return tuple(sorted(Transposition(*t) for nu, t in above.items() if reverse_leq(FpfInvolution(nu), top)))
 
 
 def is_regular(top: FpfInvolution) -> bool:

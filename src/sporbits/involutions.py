@@ -41,13 +41,6 @@ class Transposition:
         if not (isinstance(self.a, int) and isinstance(self.d, int) and 1 <= self.a < self.d):
             raise InvolutionError(f"transposition needs integers 1 <= a < d, got ({self.a}, {self.d})")
 
-    def apply(self, x: int) -> int:
-        if x == self.a:
-            return self.d
-        if x == self.d:
-            return self.a
-        return x
-
     @property
     def label(self) -> str:
         """Compact edge label: "ad" while both endpoints are single digits, else "a,d"."""
@@ -95,12 +88,6 @@ class FpfInvolution:
     def degree(self) -> int:
         """The number of letters, 2n."""
         return len(self.word)
-
-    def apply(self, i: int) -> int:
-        """pi(i), with 1-based i."""
-        if not 1 <= i <= len(self.word):
-            raise InvolutionError(f"position {i} out of range 1..{len(self.word)}")
-        return self.word[i - 1]
 
     def arcs(self) -> tuple[Transposition, ...]:
         """The n arcs (i, pi(i)) with i < pi(i), ordered by left endpoint."""
@@ -293,16 +280,18 @@ def _conjugation_masks(two_n: int) -> tuple:
     )
 
 
-def _conjugates_above(word: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The distinct words t*w*t strictly above w in reverse order.
+def _conjugates_above(word: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """The distinct words t*w*t strictly above w in reverse order, each mapped
+    to its least label (a, d).
 
     By the direction rule these come from the non-arcs t = (a, d) with
-    w(a) > w(d); of t and w*t*w = (w(d), w(a)) only the pair with a < w(d)
-    is used, which also leaves out the arcs (w(d) = a).
+    w(a) > w(d).  Such a conjugate has exactly the two labels t and
+    w*t*w = (w(d), w(a)); only the pair with a < w(d), the lesser, is used,
+    which also leaves out the arcs (w(d) = a).
     """
     m = len(word)
     return {
-        _conjugate_word(word, a, d)
+        _conjugate_word(word, a, d): (a, d)
         for a in range(1, m)
         for d in range(a + 1, m + 1)
         if a < word[d - 1] < word[a - 1]

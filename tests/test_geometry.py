@@ -279,3 +279,9 @@ class TestSerialization:
             parse_flag_json("[[true, false], [false, true]]")
         with pytest.raises(FlagError, match="row 2, column 2"):
             parse_flag_json('[["1", 0], [0, false]]')
+
+    def test_row_length_checked_before_coercion(self):
+        # Coercing first would refuse the boolean at row 1, column 1.
+        text = "[[" + ", ".join(["true"] * 300000) + "], [0, 1]]"
+        with pytest.raises(FlagError, match="row 1 has 300000 entries, expected 2"):
+            parse_flag_json(text)

@@ -5,6 +5,7 @@ by composing permutations, longest-chain grading); the library's order code
 is not consulted.
 """
 
+import os
 import random
 from collections import Counter
 from functools import lru_cache
@@ -93,7 +94,7 @@ def test_direction_rule_exhaustive(two_n):
         p = _pack(w)
         assert _unpack(p, two_n) == w
         assert list(_letters(p, two_n)) == [v - 1 for v in w]
-        below, above = set(), set()
+        below, above = set(), {}
         for a, d in pairs(two_n):
             v = conjugate_by(w, a, d)
             assert _conjugate_word(w, a, d) == v
@@ -105,7 +106,10 @@ def test_direction_rule_exhaustive(two_n):
             down = w[a - 1] < w[d - 1]
             assert v != w
             assert dominance_leq(w, v) if down else dominance_leq(v, w), (w, a, d)
-            (below if down else above).add(v)
+            if down:
+                below.add(v)
+            else:
+                above.setdefault(v, (a, d))
         assert conjugates_below(w) == below
         assert _conjugates_above(w) == above
 
@@ -269,3 +273,14 @@ def test_build_graph_sampled_bottoms_at_eight():
         below = oracle_interval(top)
         for bottom in rng.sample(below, min(3, len(below))):
             check_graph(bottom, top)
+
+
+@pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+def test_build_graph_whole_degree_ten():
+    # The graph gives every edge the two labels t and w*t*w; matching the
+    # oracle's labels by all C(10, 2) transpositions pins that there are no
+    # others, over every edge of the degree.
+    top = open_orbit(5).word
+    bottoms = [w0(5).word] + random.Random(10).sample(fpf_words(10), 2)
+    for bottom in bottoms:
+        check_graph(bottom, top)
