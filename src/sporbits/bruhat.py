@@ -6,20 +6,30 @@ at the top (the open orbit).  Comparison is by prefix dominance: mu <= pi
 in reverse order iff for every prefix length i the increasing rearrangement
 of pi_1..pi_i is entrywise <= that of mu_1..mu_i.
 
-A lower interval is found by walking down conjugation edges from its top,
-so its cost follows the size of the interval, not the (2n-1)!! elements of
-the degree.  The walk needs no comparison to choose a direction: for
-t = (a, d), a < d, not an arc of w, t*w*t lies strictly below w exactly
-when w(a) < w(d) (in ordinary Bruhat order w < wt < t*w*t then), and every
-mu < pi is reached from pi by such steps (Richardson-Springer; Hultman).
-The walk runs on packed words, 4 bits per letter, so a step is one XOR of
-an int and each member's rank follows from its parent's by a count over the
-letters between a and d; `check_degree` keeps every walk to a degree
-that a packed word holds.
-`FpfInvolution` objects are built only for what `interval` returns.  The
-last walk is kept, so `rank_poly` and the singular locus of one `analyze`
-query share a single walk.  The rank polynomial is the histogram of ranks
-over the interval.  For
+Every lower set {mu : mu <= pi} comes from one engine, `_scan`, a breadth
+first scan from pi down its covers only.  The order is graded and every
+cover is a conjugation t*w*t (Richardson-Springer; Hultman), so the scan
+reaches every member, level by level in descending rank, and gives each
+new member the rank of its finder less one.  No comparison picks a
+direction: for t = (a, d), a < d, not an arc of w, t*w*t lies strictly
+below w exactly when w(a) < w(d) (in ordinary Bruhat order w < wt < t*w*t
+then).  On 0-based letters each conjugate below w comes once, from
+t = (i, j) with i < x = w(i), i < j and y = w(j) > x.  With
+c = #{i < k < j : x < w(k) < y}, the length rises by 1 + 2c from w to w*t
+and by 1 + 2c + 2[x < j < y] from w*t to t*w*t, so the rank, half the
+length missing to the reversal, falls by 1 + 2c + [x < j < y].  Running
+j = i+1, i+2, ..., `bound` keeps the least w(k) > x over i < k < j: if
+bound < y it is a w(k) between x and y, and if some w(k) is, then
+bound <= w(k) < y.  So c = 0 exactly when y < bound, and (i, j) gives a
+cover exactly when x < y < bound and not x < j < y.  Every conjugate below is recorded
+as a down-edge too, for d↓ and the up-degrees inside the lower set.
+
+The scan runs on packed words, 4 bits per letter, so a step is one XOR of
+an int; `check_degree` keeps every scan to a degree a packed word holds.
+`FpfInvolution` objects are built only for what `interval` returns.
+`_walk` keeps the last lower set, so one `analyze` query scans once; the
+sweep of `sweep` scans the open orbit and keeps nothing here.
+The rank polynomial is the histogram of ranks over the interval.  For
 involutions avoiding the 17 obstruction patterns the same polynomial also
 factors into brackets 1 + q + ... + q^t via an independent peeling
 recursion, which `factor_rank_poly` implements.
@@ -31,7 +41,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .involutions import (
     FpfInvolution,
@@ -128,66 +138,77 @@ def interval(pi: FpfInvolution) -> Interval:
     >>> [str(mu) for mu in interval(p("3412")).members]
     ['3412', '4321']
     """
-    ranks = _walk(pi)[0]
-    words = sorted(ranks)
-    members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p in words)
-    return Interval(pi, members, dict(zip(members, map(ranks.__getitem__, words))))
+    lower = _walk(pi)
+    # Packed words compare as the words do, so sorting them is lexicographic.
+    pairs = sorted(zip(lower.words, lower.ranks))
+    members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p, _ in pairs)
+    return Interval(pi, members, dict(zip(members, (r for _, r in pairs))))
 
 
-def _walk(pi: FpfInvolution) -> tuple[dict[int, int], array, list[int]]:
-    """The lower interval of pi as packed words, walked breadth first.
+class LowerSet(NamedTuple):
+    """A lower set in scan order (descending rank), its top first."""
 
-    Returns each member's rank, in the order the members were walked, and
-    the down-edges: the k-th member's conjugates below it are
-    ``edges[ends[k - 1]:ends[k]]`` (from 0 for k = 0), so a member's
-    conjugates above it inside the interval are its occurrences in
-    ``edges``.  Refused up front beyond the degree cap.  The last walk is
-    kept, so the queries of one `analyze` call share it; callers must not
-    modify the result.
-    """
-    check_degree(pi.degree)
-    return _walk_from(pi)
+    words: list[int]  # packed as in `involutions._pack`
+    ranks: list[int]
+    above: list[list[int]]  # scan indices of each member's upper covers
+    # Member k's down-conjugates are edges[ends[k - 1]:ends[k]] (from 0 for
+    # k = 0); its conjugates above it are its occurrences in edges.
+    edges: array
+    ends: list[int]
 
 
-@lru_cache(maxsize=1)
-def _walk_from(pi: FpfInvolution) -> tuple[dict[int, int], array, list[int]]:
+def _scan(pi: FpfInvolution) -> LowerSet:
+    """The lower set of pi, scanned down its covers as the module docstring sets out."""
     two_n = pi.degree
     masks = _conjugation_masks(two_n)
-    top = _pack(pi.word)
-    ranks = {top: rank(pi)}
-    order = [top]
-    # Flat and unboxed: one container per walk, not one per member, so a
-    # kept walk adds nothing for the garbage collector to trace.
+    words = [_pack(pi.word)]
+    ranks = [rank(pi)]
+    above: list[list[int]] = [[]]
+    index = {words[0]: 0}
     edges = array("Q")
     ends: list[int] = []
-    for p in order:  # grows as members are found
+    for k, p in enumerate(words):  # grows as members are found
         w = _letters(p, two_n)
-        r = ranks[p]
-        # Each down-conjugate once: from t = (i, j) with i < w(i) = x < w(j) = y.
+        below = ranks[k] - 1
         for i in range(two_n - 1):
             x = w[i]
             if x < i:
                 continue
             masks_ix = masks[i][x]
+            bound = two_n  # the least w(l) > x over i < l < j, or two_n
             for j in range(i + 1, two_n):
                 y = w[j]
                 if y > x:
                     v = p ^ masks_ix[j][y]
                     edges.append(v)
-                    if v not in ranks:
-                        # With c = #{i < k < j : x < w(k) < y}, the length
-                        # rises by 1 + 2c from w to w*t and by 1 + 2c +
-                        # 2[x < j < y] from w*t to t*w*t; the rank, half the
-                        # length missing to the reversal, falls by half the sum.
-                        ranks[v] = r - 1 - 2 * sum(x < z < y for z in w[i + 1 : j]) - (x < j < y)
-                        order.append(v)
+                    if y < bound:
+                        bound = y
+                        if not x < j < y:
+                            m = index.get(v)
+                            if m is None:
+                                index[v] = len(words)
+                                words.append(v)
+                                ranks.append(below)
+                                above.append([k])
+                            else:
+                                above[m].append(k)
         ends.append(len(edges))
-    return ranks, edges, ends
+    return LowerSet(words, ranks, above, edges, ends)
+
+
+def _walk(pi: FpfInvolution) -> LowerSet:
+    """The lower set of pi, refused up front beyond the degree cap.  The last
+    one is kept for the next query; callers must not modify it."""
+    check_degree(pi.degree)
+    return _walk_from(pi)
+
+
+_walk_from = lru_cache(maxsize=1)(_scan)
 
 
 def rank_poly(pi: FpfInvolution) -> RankPolynomial:
     """Histogram of ranks over the lower interval of pi."""
-    hist = Counter(_walk(pi)[0].values())
+    hist = Counter(_walk(pi).ranks)
     return RankPolynomial(tuple(hist[r] for r in range(rank(pi) + 1)))
 
 

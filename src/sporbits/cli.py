@@ -38,7 +38,7 @@ from .bruhat import (
     is_palindromic,
     reverse_leq,
 )
-from .patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE, bad_pattern_witness
+from .patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE, SEARCH_MAX_DEGREE, bad_pattern_witness
 from .graphs import (
     bottom_edge_labels,
     build_graph,
@@ -58,7 +58,7 @@ DEFAULT_CLI_MAX_DEGREE = 10
 
 
 def _involution(args, cap: int):
-    """The involution argument of a command that walks its lower interval."""
+    """The involution argument, refused before any work beyond the degree cap."""
     pi = parse_involution(args.involution)
     check_degree(pi.degree, cap)
     return pi
@@ -141,7 +141,7 @@ def cmd_poly(args, cap: int):
 
 
 def cmd_factor(args, cap: int):
-    pi = parse_involution(args.involution)
+    pi = _involution(args, SEARCH_MAX_DEGREE)
     payload = {"schema": "sporbits.factor/1", "involution": str(pi)}
     try:
         exponents = factor_rank_poly(pi)
@@ -172,7 +172,7 @@ def cmd_graph(args, cap: int):
 
 
 def cmd_avoid(args, cap: int):
-    pi = parse_involution(args.involution)
+    pi = _involution(args, SEARCH_MAX_DEGREE)
     witness = bad_pattern_witness(pi)
     payload = {
         "schema": "sporbits.avoid/1",
@@ -337,6 +337,13 @@ def cmd_verify_theorem(args, cap: int):
     return EXIT_OK if all_ok else EXIT_MISMATCH, payload, lines
 
 
+def _digits(text: str) -> int:
+    """An integer option's value: ASCII digits only, never another script's."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
 class Command(NamedTuple):
     """One subcommand: `build_parser` adds its arguments, `main` calls its handler."""
     name: str
@@ -351,7 +358,7 @@ class Command(NamedTuple):
 
 COMMANDS = (
     Command("enumerate", cmd_enumerate, "list all involutions of a degree", (),
-            (("--degree", {"type": int, "required": True}),)),
+            (("--degree", {"type": _digits, "required": True}),)),
     Command("rank", cmd_rank, "poset rank of an involution"),
     Command("order", cmd_order, "compare two involutions in reverse order", ("mu", "pi")),
     Command("interval", cmd_interval, "all involutions below a given one"),
@@ -364,7 +371,7 @@ COMMANDS = (
     Command("classify", cmd_classify, "orbit of a flag matrix from a JSON file", ("flag_file",),
             (("--grid", {"action": "store_true", "help": "also print the pairing rank grid"}),)),
     Command("verify-theorem", cmd_verify_theorem, "exhaustive three-way equivalence sweep", (),
-            (("--degree", {"type": int}),)),
+            (("--degree", {"type": _digits}),)),
     Command("verify-table", cmd_verify_table, "recompute the 17-row bottom-vertex table", ()),
     Command("singular-locus", cmd_singular_locus, "rationally singular locus of an orbit closure"),
     Command("export-bad-patterns", cmd_export_bad_patterns, "emit the 17-pattern list for audit",
@@ -387,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(option, **kwargs)
         formats = ("text", "json", "dot") if cmd.dot else ("text", "json")
         p.add_argument("--output", choices=formats, default="text")
-        p.add_argument("--max-degree-override", type=int)
+        p.add_argument("--max-degree-override", type=_digits)
         p.set_defaults(handler=cmd.handler)
     return parser
 

@@ -7,15 +7,16 @@ bottom vertex of [mu, pi] against the rank gap r(pi) - r(mu) is the
 pointwise test for rational smoothness (the Carrell-Peterson degree
 criterion); vertices exceeding the gap are irregular.
 
-Vertex sets come from the downward walk of `bruhat.interval`.  By its
+Vertex sets come from the cover scan behind `bruhat.interval`.  By its
 direction rule a conjugate t*mu*t != mu lies above mu exactly when
 mu(a) > mu(d) for t = (a, d), a < d, so the neighbors of mu in [mu, pi] are
 its conjugates with that property that lie in the interval below pi; no
 order comparison is needed to find them.  `involutions._conjugates_above`
 is the one neighbor finder here: the graph takes each edge once, from its
 lower end, with that helper's least label.  The singular locus reads these
-up-edges and the ranks straight from the walk's packed words (at most 16
-letters), and reuses the walk `rank_poly` just made for the same top.
+up-edges, the upper covers and the ranks straight from the scan's packed
+words (at most 16 letters), and reuses the scan `rank_poly` just made for
+the same top.
 """
 
 from __future__ import annotations
@@ -139,31 +140,28 @@ def rationally_singular_locus(pi: FpfInvolution) -> SingularLocus:
     The locus itself is the union of the orbit closures of the maximal
     elements; the full member list is the pointwise view.
 
-    One walk down the interval, then one pass in decreasing rank: the
-    degree of mu is the number of its conjugates above it inside the
-    interval, and mu has a singular element above it iff one of those
-    conjugates is singular or has one above it, since the order inside the
-    interval is generated by these edges.  The pass pushes that mark down
-    the edges, so each member has it before it is visited.  The walk is
-    the one `rank_poly` made for the same pi, if it was the last.
+    One scan down the interval, then one pass in its order, descending
+    rank: the degree of mu is the number of its conjugates above it inside
+    the interval, and mu has a singular element above it iff one of its
+    upper covers is singular or has one above it, since every chain up
+    from mu starts with a cover.  Each member is marked before it is
+    visited, from its covers' marks.  The scan is the one `rank_poly` made
+    for the same pi, if it was the last.
     """
-    ranks, edges, ends = _walk(pi)
-    top_rank = rank(pi)
-    words = list(ranks)
-    levels = list(ranks.values())
-    degree = Counter(edges)
-    shadowed: set[int] = set()  # members with a singular member above them
+    lower = _walk(pi)
+    top_rank = lower.ranks[0]
+    degree = Counter(lower.edges)
+    shadow: list[bool] = []  # singular, or below a singular member
     singular: list[int] = []
     maximal: set[int] = set()
-    for k in sorted(range(len(words)), key=levels.__getitem__, reverse=True):
-        p = words[k]
-        is_singular = degree[p] > top_rank - levels[k]
+    for p, r, covers in zip(lower.words, lower.ranks, lower.above):
+        marked = any(shadow[c] for c in covers)
+        is_singular = degree[p] > top_rank - r
         if is_singular:
             singular.append(p)
-            if p not in shadowed:
+            if not marked:
                 maximal.add(p)
-        if is_singular or p in shadowed:
-            shadowed.update(edges[ends[k - 1] if k else 0 : ends[k]])
+        shadow.append(is_singular or marked)
     singular.sort()
     members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p in singular)
     return SingularLocus(members, tuple(mu for p, mu in zip(singular, members) if p in maximal))

@@ -134,7 +134,9 @@ def check_degree(two_n: int, cap: int = DEFAULT_MAX_DEGREE, what: str = "degree"
         raise InvolutionError(f"{what} must be a positive even degree, got {two_n}")
     if two_n > cap:
         hint = " (raise it with --max-degree-override)" if cap < DEFAULT_MAX_DEGREE else ""
-        raise SizeLimitError(f"{what} {two_n} ({fpf_count(two_n // 2)} involutions) exceeds the cap {cap}{hint}")
+        # Past 2n = 64 the count runs to 40 digits and more, and costs time.
+        size = f" ({fpf_count(two_n // 2)} involutions)" if two_n <= 64 else ""
+        raise SizeLimitError(f"{what} {two_n}{size} exceeds the cap {cap}{hint}")
 
 
 def enumerate_fpf(n: int) -> tuple[FpfInvolution, ...]:
@@ -355,12 +357,12 @@ def parse_involution(text: str) -> FpfInvolution:
         word = []
         for pos, part in enumerate(s.split(","), start=1):
             part = part.strip()
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise InvolutionError(f"bad integer {part!r} at entry {pos}")
             word.append(int(part))
     else:
         for pos, ch in enumerate(s, start=1):
-            if not ch.isdigit():
+            if not (ch.isascii() and ch.isdigit()):
                 raise InvolutionError(f"unexpected character {ch!r} at position {pos}")
         word = [int(ch) for ch in s]
     return FpfInvolution(tuple(word))

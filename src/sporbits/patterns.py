@@ -48,6 +48,10 @@ BAD_PATTERNS: tuple[FpfInvolution, ...] = tuple(
 # The largest degree `avoiders` builds: 30 088 avoiders at 2n = 16.
 AVOIDERS_MAX_DEGREE = 16
 
+# The largest host the CLI searches for patterns: the search tabulates all
+# C(n, 4) unions of four arcs, so time and memory grow as n^4.
+SEARCH_MAX_DEGREE = 128
+
 # Audit data for the obstruction patterns: poset rank and the labels of the
 # edges incident to the bottom vertex of the full interval graph.  This is a
 # frozen external reference copy, deliberately not recomputed here, so that

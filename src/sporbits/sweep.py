@@ -4,23 +4,10 @@ The per-element functions in `bruhat`, `graphs` and `patterns` are the
 reference path; this module computes the same three verdicts for every
 involution of a degree in one pass, in pure Python.
 
-The degree is scanned once from its top, the open orbit, breadth first
-down its covers only.  The order is graded by rank and every cover is a
-conjugation t*w*t (Richardson-Springer; Hultman), so each element lies on
-a chain of covers down from the top and the scan reaches every element,
-level by level.  For w, i with x = w(i) > i and j > i with y = w(j) > x,
-t = (i, j) gives a distinct conjugate below w, lower in rank by
-1 + 2c + [x < j < y] with c = #{i < k < j : x < w(k) < y}, as in
-`bruhat._walk`.  The scan runs j = i+1, i+2, ... keeping `bound`, the
-least w(k) > x over i < k < j.  If bound < y, bound itself is a w(k)
-strictly between x and y; if some w(k) is, bound <= w(k) < y.  So c = 0
-exactly when y < bound, and (i, j) gives a cover exactly when
-x < y < bound and not x < j < y.  Each pair with y > x counts toward
-d↓(w), the number of conjugates below w.  A new element takes the rank of
-the element it was found from, less one.  No edge list and no
-`FpfInvolution` per element is built: the scan runs on packed words, and
-`PosetTables.elements` is built only when read.  The tests check the
-scanned tables against the whole-degree walk at every degree to 2n = 12.
+The degree is scanned once from its top, the open orbit, by the cover
+scan `bruhat._scan` (its module docstring gives the cover rule), which
+yields every element with its rank, upper covers and d↓, the number of
+conjugates below it.  `PosetTables.elements` is built only when read.
 
 The up-set is U(mu) = {mu} ∪ ⋃ U(c) over the upper covers c of mu.  Each
 U(mu) is a Python int used as a bitset, with the elements numbered in
@@ -78,16 +65,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import zip_longest
 
-from .involutions import (
-    FpfInvolution,
-    _conjugation_masks,
-    _letters,
-    _pack,
-    _unpack,
-    check_degree,
-    open_orbit,
-    rank,
-)
+from .bruhat import _scan
+from .involutions import FpfInvolution, _pack, _unpack, check_degree, open_orbit
 from .patterns import avoiders
 
 
@@ -141,7 +120,9 @@ def poset_tables(two_n: int) -> PosetTables:
 
 
 def _build_tables(two_n: int) -> PosetTables:
-    words, ranks, down_degree, above = _scan_covers(two_n)
+    lower = _scan(open_orbit(two_n // 2))
+    words, ranks, above = lower.words, lower.ranks, lower.above
+    down_degree = [end - start for start, end in zip([0, *lower.ends], lower.ends)]
     # Packed words compare as the words do, so sorting them is lexicographic.
     order = sorted(range(len(words)), key=words.__getitem__)
     at = [0] * len(words)  # scan index -> word index
@@ -157,51 +138,8 @@ def _build_tables(two_n: int) -> PosetTables:
         tuple(down_degree[k] for k in order),
         tuple(tuple(at[c] for c in above[k]) for k in order),
         tuple(map(tuple, levels)),
-        ConjugationPairs(2 * sum(down_degree)),
+        ConjugationPairs(2 * len(lower.edges)),
     )
-
-
-def _scan_covers(two_n: int) -> tuple[list[int], list[int], list[int], list[list[int]]]:
-    """Every involution of the degree, found from the top down its covers.
-
-    Returns, in scan order (descending rank), the packed words, ranks,
-    down-degrees and the scan indices of each element's upper covers.
-    """
-    masks = _conjugation_masks(two_n)
-    top = open_orbit(two_n // 2)
-    words = [_pack(top.word)]
-    ranks = [rank(top)]
-    down_degree: list[int] = []
-    above: list[list[int]] = [[]]
-    index = {words[0]: 0}
-    for k, p in enumerate(words):  # grows as elements are found
-        w = _letters(p, two_n)
-        below = ranks[k] - 1
-        d = 0
-        for i in range(two_n - 1):
-            x = w[i]
-            if x < i:
-                continue
-            masks_ix = masks[i][x]
-            bound = two_n  # the least w(l) > x over i < l < j, or two_n
-            for j in range(i + 1, two_n):
-                y = w[j]
-                if y > x:
-                    d += 1
-                    if y < bound:
-                        bound = y
-                        if not x < j < y:
-                            v = p ^ masks_ix[j][y]
-                            m = index.get(v)
-                            if m is None:
-                                index[v] = len(words)
-                                words.append(v)
-                                ranks.append(below)
-                                above.append([k])
-                            else:
-                                above[m].append(k)
-        down_degree.append(d)
-    return words, ranks, down_degree, above
 
 
 def _upper_sets(tables: PosetTables):
@@ -313,7 +251,7 @@ def _columns(tables: PosetTables) -> list[tuple[bool, bool]]:
     return columns
 
 
-@dataclass(frozen=True)
+@dataclass
 class OrbitSurveyRow:
     """Per-involution verdicts of the three smoothness tests."""
 

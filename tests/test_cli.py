@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sporbits import sweep
+from sporbits import patterns, sweep
 from sporbits.cli import main
 from sporbits.patterns import BOTTOM_VERTEX_TABLE
 from sporbits.geometry import flag_to_json, gram_basis_flag
@@ -123,6 +123,20 @@ class TestBasicCommands:
         assert code == 0
         assert data["avoids"] is False
         assert data["witness"]["indices"] == [1, 2, 4, 6, 7, 8]
+
+    @pytest.mark.parametrize("command", ["avoid", "factor"])
+    def test_pattern_search_capped_before_index_sets(self, capsys, monkeypatch, command):
+        def no_index_sets(*args):
+            raise AssertionError("the degree check must come before any index set")
+
+        monkeypatch.setattr(patterns, "_invariant_index_sets", no_index_sets)
+        over = ",".join(str(x) for k in range(1, 66) for x in (2 * k, 2 * k - 1))
+        code, out, err = run(capsys, command, over)
+        assert (code, out) == (3, "")
+        assert "degree 130 exceeds the cap 128" in err
+        # At the cap itself the search starts.
+        with pytest.raises(AssertionError, match="before any index set"):
+            main([command, over.rsplit(",", 2)[0]])
 
     def test_graph_dot(self, capsys):
         code, out, _ = run(capsys, "graph", "2143", "--output", "dot")

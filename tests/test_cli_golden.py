@@ -2,11 +2,12 @@
 
 Every command runs in text and JSON at 2n <= 8 (DOT too for `graph` and
 `analyze`), beside the refusals: over the cap, a bad override, an odd
-degree, bad text and a flag over the 16-row cap.  The pinned values were
-captured from the CLI before its degree checks were merged into
-`involutions.check_degree` and before its handlers returned payloads to one
-emitter in `main`, so any change to a command's stdout or exit code fails
-here.  Stderr is not pinned: its wording may change.  Every command of
+degree, bad text, digits other than ASCII and a flag over the 16-row cap.
+The pinned values were captured from the CLI before its degree checks were
+merged into `involutions.check_degree` and before its handlers returned
+payloads to one emitter in `main`, so any change to a command's stdout or
+exit code fails here; the refusals of other digits came later, and pin
+exit 2 with nothing on stdout.  Stderr is not pinned: its wording may change.  Every command of
 `cli.COMMANDS` must have a case for each `--output` it accepts, and every
 JSON stdout must be one object with a string "schema".
 
@@ -73,6 +74,13 @@ CASES = {
     "degree-5": (["enumerate", "--degree", "5"], 2, EMPTY),
     "verify-theorem-degree-5": (["verify-theorem", "--degree", "5"], 2, EMPTY),
     "bad-text": (["analyze", "2143x"], 2, EMPTY),
+    # Only ASCII digits are read as numbers.
+    "rank-superscript": (["rank", "²1"], 2, EMPTY),
+    "rank-arabic-indic": (["rank", "٢١"], 2, EMPTY),
+    "rank-arabic-indic-entry": (["rank", "2,١"], 2, EMPTY),
+    "enumerate-degree-arabic-indic": (["enumerate", "--degree", "٤"], 2, EMPTY),
+    "enumerate-degree-underscore": (["enumerate", "--degree", "1_0"], 2, EMPTY),
+    "override-arabic-indic": (["verify-theorem", "--degree", "4", "--max-degree-override", "١٤"], 2, EMPTY),
 }
 
 
@@ -90,7 +98,10 @@ def flag_files(tmp_path_factory):
 
 
 def _run(capsys, flag_files, argv):
-    code = main([flag_files.get(a, a) for a in argv])
+    try:
+        code = main([flag_files.get(a, a) for a in argv])
+    except SystemExit as exc:  # argparse refuses a bad option value itself
+        code = exc.code
     return code, capsys.readouterr().out
 
 

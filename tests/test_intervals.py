@@ -1,4 +1,4 @@
-"""The downward conjugation walk against enumerate-and-filter oracles.
+"""The downward cover scan against enumerate-and-filter oracles.
 
 Every expected value here comes from `oracles` (prefix dominance, conjugation
 by composing permutations, longest-chain grading); the library's order code
@@ -122,8 +122,8 @@ def test_inversion_rank_is_the_longest_chain_grade(two_n):
 
 
 def packed_ranks(pi):
-    ranks = _walk(FpfInvolution(pi))[0]
-    return {_unpack(p, len(pi)): r for p, r in ranks.items()}
+    lower = _walk(FpfInvolution(pi))
+    return {_unpack(p, len(pi)): r for p, r in zip(lower.words, lower.ranks)}
 
 
 def check_interval(pi):
@@ -133,10 +133,19 @@ def check_interval(pi):
     assert {mu.word: r for mu, r in iv.rank_of.items()} == {mu: inversion_rank(mu) for mu in expected}
     assert packed_ranks(pi) == {mu.word: rank(mu) for mu in iv.members}
     # each member's down-edges are its down-conjugates, each once
-    ranks, edges, ends = _walk(FpfInvolution(pi))
-    starts = [0, *ends[:-1]]
-    down = {_unpack(p, len(pi)): [_unpack(v, len(pi)) for v in edges[a:b]] for p, a, b in zip(ranks, starts, ends)}
+    lower = _walk(FpfInvolution(pi))
+    words = [_unpack(p, len(pi)) for p in lower.words]
+    starts = [0, *lower.ends[:-1]]
+    down = {mu: [_unpack(v, len(pi)) for v in lower.edges[a:b]] for mu, a, b in zip(words, starts, lower.ends)}
     assert all(sorted(vs) == sorted(conjugates_below(mu)) for mu, vs in down.items())
+    # scan order is descending rank, and each member's upper covers are the
+    # members with it among their down-conjugates, one rank higher
+    assert lower.ranks == sorted(lower.ranks, reverse=True)
+    for mu, covers in zip(words, lower.above):
+        expected_covers = [
+            nu for nu in words if mu in conjugates_below(nu) and inversion_rank(nu) == inversion_rank(mu) + 1
+        ]
+        assert [words[c] for c in covers] == expected_covers
     hist = Counter(inversion_rank(mu) for mu in expected)
     assert rank_poly(FpfInvolution(pi)).coeffs == tuple(hist[r] for r in range(inversion_rank(pi) + 1))
 

@@ -8,6 +8,7 @@ from sporbits.involutions import (
     SizeLimitError,
     Transposition,
     all_transpositions,
+    check_degree,
     conjugate,
     delete_pair_standardize,
     encapsulation_count,
@@ -88,6 +89,16 @@ class TestEnumerate:
             enumerate_fpf(0)
         with pytest.raises(SizeLimitError):
             enumerate_fpf(8)  # 16 letters > default cap 14
+
+    def test_huge_degree_refused_without_its_count(self):
+        # (3999)!! has more digits than str() may print, and a count of
+        # (2n-1)!! for 2n = 10**12 would never finish: neither is computed.
+        with pytest.raises(SizeLimitError, match=r"^degree 4000 exceeds the cap 14$"):
+            check_degree(4000)
+        with pytest.raises(SizeLimitError, match=r"^--degree 1000000000000 exceeds the cap 128$"):
+            check_degree(10**12, 128, "--degree")
+        with pytest.raises(SizeLimitError, match=r"^degree 16 \(2027025 involutions\) exceeds the cap 14$"):
+            check_degree(16)
 
 
 class TestRank:
@@ -202,6 +213,12 @@ class TestTextForm:
             parse_involution("10,x,1")
         with pytest.raises(InvolutionError):
             parse_involution("")
+
+    @pytest.mark.parametrize("text", ["²1", "٢١", "2,١", "２１"])
+    def test_only_ascii_digits(self, text):
+        # str.isdigit and int accept these; none may be read as a number.
+        with pytest.raises(InvolutionError):
+            parse_involution(text)
 
     def test_str_matches_format(self):
         assert str(p("351624")) == "351624"

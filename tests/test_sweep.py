@@ -11,6 +11,7 @@ from sporbits.bruhat import _walk, is_rationally_smooth, rank_poly
 from sporbits.graphs import is_regular
 from sporbits.involutions import (
     SizeLimitError,
+    _pack,
     _unpack,
     enumerate_fpf,
     fpf_count,
@@ -98,28 +99,29 @@ class TestTables:
             assert tables.neighbors.nnz == int(oracles.dense_neighbors(words).sum())
         assert sweep.poset_tables(12).neighbors.nnz == 311_850
 
-    def test_scanned_tables_match_the_walk(self):
-        # The cover scan against the whole-degree walk down every conjugation
-        # edge: the covers are the down-edges whose rank drops by 1.
+    def test_scanned_tables_match_the_oracles(self):
+        # The cover scan against conjugation by composing permutations and
+        # inversion counts: the covers are the down-conjugates whose rank
+        # drops by 1.
         for two_n in range(2, 13, 2):
             tables = sweep.poset_tables(two_n)
-            ranks, edges, ends = _walk(open_orbit(two_n // 2))
-            assert len(tables.packed) == len(ranks) == fpf_count(two_n // 2)
-            assert tables.packed == tuple(sorted(ranks))
-            index = {p: m for m, p in enumerate(tables.packed)}
-            upper_covers = [[] for _ in tables.packed]
-            start = 0
-            for p, end in zip(ranks, ends):
-                m = index[p]
-                assert tables.ranks[m] == ranks[p]
-                assert tables.down_degree[m] == end - start
-                for v in edges[start:end]:
-                    if ranks[v] == ranks[p] - 1:
+            words = oracles.fpf_words(two_n)
+            assert len(tables.packed) == len(words) == fpf_count(two_n // 2)
+            assert tables.packed == tuple(map(_pack, words))
+            index = {w: m for m, w in enumerate(words)}
+            ranks = [oracles.inversion_rank(w) for w in words]
+            upper_covers = [[] for _ in words]
+            edges = 0
+            for m, w in enumerate(words):
+                below = oracles.conjugates_below(w)
+                assert tables.down_degree[m] == len(below)
+                edges += len(below)
+                for v in below:
+                    if ranks[index[v]] == ranks[m] - 1:
                         upper_covers[index[v]].append(m)
-                start = end
-            assert [sorted(c) for c in tables.upper_covers] == [sorted(c) for c in upper_covers], two_n
-            assert tables.neighbors.nnz == 2 * len(edges)
-            assert tables.ranks == tuple(map(rank, tables.elements))
+            assert [sorted(c) for c in tables.upper_covers] == upper_covers, two_n
+            assert tables.neighbors.nnz == 2 * edges
+            assert tables.ranks == tuple(ranks) == tuple(map(rank, tables.elements))
             assert tables.levels == tuple(
                 tuple(m for m, r in enumerate(tables.ranks) if r == k) for k in range(len(tables.levels))
             )
@@ -213,20 +215,20 @@ class TestSurvey:
 def test_up_degree_at_least_rank_gap_over_every_pair(two_n):
     # The precondition of the edge-count regularity column: for mu <= pi,
     # mu has at least r(pi) - r(mu) conjugates above it inside L(pi).
-    # Degrees come from the walk, membership from the oracle order.
+    # Degrees come from the cover scan, membership from the oracle order.
     import numpy as np
 
-    ranks, edges, ends = _walk(open_orbit(two_n // 2))
+    lower = _walk(open_orbit(two_n // 2))
     words = oracles.fpf_words(two_n)
     index = {w: m for m, w in enumerate(words)}
-    at = {p: index[_unpack(p, two_n)] for p in ranks}
+    at = {p: index[_unpack(p, two_n)] for p in lower.words}
     assert len(at) == len(words)
     rank_of = np.zeros(len(words))
     up = np.zeros((len(words), len(words)))  # up[m, v]: v is a conjugate above m
     start = 0
-    for p, end in zip(ranks, ends):
-        rank_of[at[p]] = ranks[p]
-        for v in edges[start:end]:
+    for p, r, end in zip(lower.words, lower.ranks, lower.ends):
+        rank_of[at[p]] = r
+        for v in lower.edges[start:end]:
             up[at[v], at[p]] = 1
         start = end
     if two_n <= 8:
@@ -273,7 +275,7 @@ def test_over_cap_degree_refused_before_walk(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("the size check must come before the scan")
 
-    monkeypatch.setattr(sweep, "_scan_covers", no_scan)
+    monkeypatch.setattr(sweep, "_scan", no_scan)
     with pytest.raises(SizeLimitError, match="2027025 involutions"):
         sweep.poset_tables(16)
     assert 16 not in sweep._TABLES
