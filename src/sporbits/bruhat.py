@@ -46,13 +46,11 @@ from typing import Mapping, NamedTuple, Sequence
 from .involutions import (
     FpfInvolution,
     InvolutionError,
-    Transposition,
     _conjugation_masks,
     _letters,
     _pack,
     _unpack,
     check_degree,
-    delete_pair_standardize,
     rank,
 )
 from .patterns import PatternWitness, bad_pattern_witness
@@ -242,20 +240,20 @@ def factor_rank_poly(pi: FpfInvolution) -> tuple[int, ...]:
     if witness is not None:
         raise PatternObstruction(witness)
     exps: list[int] = []
-    cur = pi
+    w = pi.word
     while True:
-        two_n = cur.degree
-        first, last = cur.word[0], cur.word[-1]
+        two_n, first, last = len(w), w[0], w[-1]
         if two_n - first <= last - 1:
             exps.append(two_n - first)
-            arc = Transposition(1, first)
+            a, d = 1, first
         else:
             exps.append(last - 1)
-            arc = Transposition(last, two_n)
-        if cur.n == 1:
-            break
-        cur = delete_pair_standardize(cur, arc)
-    return tuple(exps)
+            a, d = last, two_n
+        if two_n == 2:
+            return tuple(exps)
+        # Positions a and d hold the values d and a: drop those values and
+        # renumber the rest.
+        w = tuple([v - (v > a) - (v > d) for v in w if v != a and v != d])
 
 
 def bracket_product(exponents: Sequence[int]) -> RankPolynomial:

@@ -24,7 +24,8 @@ from .involutions import (
     InvolutionError,
     SizeLimitError,
     check_degree,
-    enumerate_fpf,
+    enumerate_words,
+    format_word,
     parse_involution,
     rank,
     w0,
@@ -70,7 +71,7 @@ def _locus_json(locus) -> dict:
 
 def cmd_enumerate(args, cap: int):
     check_degree(args.degree, cap, "--degree")
-    words = [str(p) for p in enumerate_fpf(args.degree // 2)]
+    words = list(map(format_word, enumerate_words(args.degree // 2)))
     payload = {
         "schema": "sporbits.enumerate/1",
         "degree": args.degree,

@@ -152,6 +152,16 @@ def enumerate_fpf(n: int) -> tuple[FpfInvolution, ...]:
     return _enumerate_cached(n)
 
 
+def enumerate_words(n: int) -> list[tuple[int, ...]]:
+    """The words of `enumerate_fpf`, in its order, without building involutions.
+
+    >>> enumerate_words(2)
+    [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
+    """
+    check_degree(2 * n)
+    return _words(n)
+
+
 def fpf_count(n: int) -> int:
     """(2n-1)!!, the number of fixed-point-free involutions of {1, ..., 2n}.
 
@@ -166,6 +176,10 @@ def fpf_count(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(n: int) -> tuple[FpfInvolution, ...]:
+    return tuple(FpfInvolution(w) for w in _words(n))
+
+
+def _words(n: int) -> list[tuple[int, ...]]:
     words: list[tuple[int, ...]] = []
     word = [0] * (2 * n)
 
@@ -181,7 +195,7 @@ def _enumerate_cached(n: int) -> tuple[FpfInvolution, ...]:
 
     fill(list(range(1, 2 * n + 1)))
     words.sort()
-    return tuple(FpfInvolution(w) for w in words)
+    return words
 
 
 @lru_cache(maxsize=1 << 18)
@@ -339,9 +353,12 @@ def delete_pair_standardize(pi: FpfInvolution, arc: Transposition) -> FpfInvolut
 
 
 def format_involution(pi: FpfInvolution) -> str:
-    if pi.degree <= 9:
-        return "".join(str(v) for v in pi.word)
-    return ",".join(str(v) for v in pi.word)
+    return format_word(pi.word)
+
+
+def format_word(word: tuple[int, ...]) -> str:
+    """One-line text of a word: plain digits up to 9 letters, else comma-separated."""
+    return ("" if len(word) <= 9 else ",").join(map(str, word))
 
 
 def parse_involution(text: str) -> FpfInvolution:

@@ -10,13 +10,24 @@ makes an orbit closure rationally singular; everything downstream
 (`avoids_all_bad`, the factorization refusal, the irregular-vertex
 certificate) is driven by this list.
 
+The search numbers the host's arcs by left endpoint.  Two arcs, the first
+starting first, are aligned (the first ends before the second starts),
+crossing, or nested (the second inside the first).  The C(m, 2) relations of
+a union of m arcs fix its standardized word, so each pattern, and each
+prefix of it (its first d arcs), is a base-3 code.  A union is grown one
+arc at a time and kept only while its code starts a pattern that could
+still come first; all the arcs that extend it the same way are found at
+once by ANDing one bitmask per chosen arc.  At worst every union of three
+arcs is visited, C(n, 3) of them; when 351624, the only three-arc pattern
+and the first listed, is found, no union of four arcs is.
+
 `avoiders` gives the whole set of avoiders of a degree at once, built from
 the degree below by inserting one arc, for the exhaustive sweep.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .involutions import FpfInvolution, InvolutionError, check_degree
@@ -48,8 +59,11 @@ BAD_PATTERNS: tuple[FpfInvolution, ...] = tuple(
 # The largest degree `avoiders` builds: 30 088 avoiders at 2n = 16.
 AVOIDERS_MAX_DEGREE = 16
 
-# The largest host the CLI searches for patterns: the search tabulates all
-# C(n, 4) unions of four arcs, so time and memory grow as n^4.
+# The largest host the CLI searches for patterns.  The search keeps a union of
+# arcs only while it starts some pattern, so at worst it grows each of the
+# C(n, 3) unions of three arcs by a few ANDs of n-bit masks: time grows at
+# most as n^3 and memory as n^2.  At 2n = 128 the open orbit and w0 take a
+# few milliseconds each.
 SEARCH_MAX_DEGREE = 128
 
 # Audit data for the obstruction patterns: poset rank and the labels of the
@@ -114,30 +128,97 @@ def _standardized_restriction(host: FpfInvolution, indices: tuple[int, ...]) -> 
     return tuple(order[host.word[i - 1]] for i in indices)
 
 
-def _invariant_index_sets(host: FpfInvolution, m: int) -> list[tuple[int, ...]]:
-    """All unions of m arcs of the host, as sorted index tuples in lex order."""
-    arcs = host.arcs()
-    sets = [
-        tuple(sorted(x for arc in combo for x in (arc.a, arc.d)))
-        for combo in itertools.combinations(arcs, m)
-    ]
-    sets.sort()
-    return sets
+def _arcs(word: tuple[int, ...]) -> list[tuple[int, int]]:
+    return [(i, v) for i, v in enumerate(word, start=1) if i < v]
+
+
+def _relation(d: int, later: tuple[int, int]) -> int:
+    """How an arc ending at d relates to an arc that starts after it does:
+    0 aligned (d comes first), 1 crossing, 2 nested (the later arc inside)."""
+    a2, d2 = later
+    return 0 if d < a2 else 1 if d < d2 else 2
+
+
+def _tries(words: tuple[tuple[int, ...], ...]) -> tuple[tuple, ...]:
+    """The root of a trie of prefixes for each number of arcs, fewest first,
+    for patterns given in listing order.
+
+    A node is the prefix of some patterns made of their first d arcs, as a
+    tuple (digits, least, children).  ``digits`` relate the d-th arc to each
+    arc before it, so the rows along a path from the root spell the prefix's
+    base-3 code.  ``least`` is the least listing index of a pattern with that
+    prefix.  A node without children is a whole pattern.
+    """
+    roots: dict[int, tuple[int, dict]] = {}
+    for index, word in enumerate(words):
+        arcs = _arcs(word)
+        children = roots.setdefault(len(arcs), (index, {}))[1]
+        for k in range(len(arcs)):
+            digits = tuple(_relation(d, arcs[k]) for _, d in arcs[:k])
+            children = children.setdefault(digits, (index, {}))[1]
+    return tuple(_freeze((), *roots[m]) for m in sorted(roots))
+
+
+def _freeze(digits: tuple[int, ...], least: int, children: dict) -> tuple:
+    return digits, least, tuple(_freeze(row, *entry) for row, entry in children.items())
+
+
+def _first_occurrence(word: tuple[int, ...], tries: tuple[tuple, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """The least listing index of a pattern the host includes, with its least index set.
+
+    Arcs are numbered by left endpoint.  A union of arcs is grown one arc at
+    a time, in increasing arc order, along the trie, and only while some
+    pattern below could still come before the best found.  All the arcs that
+    grow it to one child are found at once, by ANDing one bitmask per chosen
+    arc, and taken in increasing order.  One pattern's occurrences pass
+    through the same child at every depth, so they come in lexicographic
+    order of their arcs, and so of their sorted endpoint tuples: two that
+    first differ at arcs k < k' agree below the left end of k, which only
+    the first contains.  So a pattern's first occurrence is its least, and
+    once found it and every later pattern are pruned.
+    """
+    arcs = _arcs(word)
+    # masks[i][r]: bit j for each later arc j in relation r to arc i.
+    masks = [[0, 0, 0] for _ in arcs]
+    for i, (_, d) in enumerate(arcs):
+        for j in range(i + 1, len(arcs)):
+            masks[i][_relation(d, arcs[j])] |= 1 << j
+    every = (1 << len(arcs)) - 1
+    best: list = [math.inf, ()]
+
+    def extend(children: tuple[tuple, ...], chosen: tuple[int, ...]) -> None:
+        for digits, least, grandchildren in children:
+            mask = every
+            for c, r in zip(chosen, digits):
+                mask &= masks[c][r]
+            while mask and least < best[0]:
+                low = mask & -mask
+                mask ^= low
+                grown = chosen + (low.bit_length() - 1,)
+                if grandchildren:
+                    extend(grandchildren, grown)
+                else:
+                    best[:] = least, grown
+
+    for _, least, children in tries:
+        if least < best[0]:
+            extend(children, ())
+    if not best[1]:
+        return None
+    return best[0], tuple(sorted(x for k in best[1] for x in arcs[k]))
+
+
+_BAD_TRIES = _tries(tuple(pat.word for pat in BAD_PATTERNS))
 
 
 def includes_pattern(host: FpfInvolution, pattern: FpfInvolution) -> PatternWitness | None:
     """Search for an invariant occurrence of the pattern inside the host.
 
     Returns the witness with lexicographically least index set, or None.
-    Index sets permuted by the host are exactly unions of its arcs, so the
-    search runs over C(n, m) arc subsets rather than C(2n, 2m) index subsets.
+    Index sets permuted by the host are exactly unions of its arcs.
     """
-    if pattern.degree > host.degree:
-        return None
-    for idx in _invariant_index_sets(host, pattern.n):
-        if _standardized_restriction(host, idx) == pattern.word:
-            return PatternWitness(pattern, idx)
-    return None
+    found = _first_occurrence(host.word, _tries((pattern.word,)))
+    return None if found is None else PatternWitness(pattern, found[1])
 
 
 def bad_pattern_witness(host: FpfInvolution) -> PatternWitness | None:
@@ -146,20 +227,8 @@ def bad_pattern_witness(host: FpfInvolution) -> PatternWitness | None:
     Patterns are tried in the fixed listing order of ``BAD_PATTERNS``; the
     witness index set is the lexicographically least one for that pattern.
     """
-    tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for pat in BAD_PATTERNS:
-        if pat.degree > host.degree:
-            continue
-        table = tables.get(pat.n)
-        if table is None:
-            table = {}
-            for idx in _invariant_index_sets(host, pat.n):
-                table.setdefault(_standardized_restriction(host, idx), idx)
-            tables[pat.n] = table
-        idx = table.get(pat.word)
-        if idx is not None:
-            return PatternWitness(pat, idx)
-    return None
+    found = _first_occurrence(host.word, _BAD_TRIES)
+    return None if found is None else PatternWitness(BAD_PATTERNS[found[0]], found[1])
 
 
 def avoids_all_bad(host: FpfInvolution) -> bool:

@@ -4,12 +4,13 @@ Everything here recomputes expected values from first principles by a route
 different from the library code: enumeration by filtering, Bruhat order via
 the subword property and by its definition (upper sets closed under
 length-raising transpositions), conjugation by composing permutations,
-pattern containment over raw index subsets, matrix rank by plain rational
-elimination, corner rank grids by one elimination per row count, products
-of symplectic transvections by full Fraction matrix products, poset grading
-by longest chains, and the whole-degree sweep columns by dense numpy
-matrices (small degrees only) and by one lower-set bitset per element read
-in byte classes.
+pattern containment over raw index subsets and by standardizing every
+union of arcs, matrix rank by plain rational elimination, corner rank
+grids by one elimination per row count, products of symplectic
+transvections by full Fraction matrix products, poset grading by longest
+chains, and the whole-degree sweep columns by dense numpy matrices (small
+degrees only) and by one lower-set bitset per element read in byte
+classes.
 """
 
 from __future__ import annotations
@@ -135,6 +136,34 @@ def invariant_inclusion_witnesses(
         if tuple(order[v] for v in values) == pattern:
             hits.append(idx)
     return hits
+
+
+def tabulated_witness(
+    host: tuple[int, ...], patterns: list[tuple[int, ...]]
+) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first of the patterns, in the given order, that the host includes,
+    with its least index set, or None.
+
+    Every union of m arcs is standardized once into a table per m, keeping
+    the least index set of each standardized word; the patterns are then
+    looked up in order.
+    """
+    arcs = [(i, v) for i, v in enumerate(host, start=1) if i < v]
+    tables: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    for pattern in patterns:
+        m = len(pattern) // 2
+        if m > len(arcs):
+            continue
+        if m not in tables:
+            tables[m] = {}
+            unions = sorted(tuple(sorted(x for arc in combo for x in arc)) for combo in itertools.combinations(arcs, m))
+            for idx in unions:
+                order = {v: r for r, v in enumerate(idx, start=1)}
+                tables[m].setdefault(tuple(order[host[i - 1]] for i in idx), idx)
+        idx = tables[m].get(tuple(pattern))
+        if idx is not None:
+            return tuple(pattern), idx
+    return None
 
 
 def fraction_rank(rows: list[list[Fraction]]) -> int:

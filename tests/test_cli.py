@@ -126,16 +126,16 @@ class TestBasicCommands:
 
     @pytest.mark.parametrize("command", ["avoid", "factor"])
     def test_pattern_search_capped_before_index_sets(self, capsys, monkeypatch, command):
-        def no_index_sets(*args):
-            raise AssertionError("the degree check must come before any index set")
+        def no_search(*args):
+            raise AssertionError("the degree check must come before any search")
 
-        monkeypatch.setattr(patterns, "_invariant_index_sets", no_index_sets)
+        monkeypatch.setattr(patterns, "_first_occurrence", no_search)
         over = ",".join(str(x) for k in range(1, 66) for x in (2 * k, 2 * k - 1))
         code, out, err = run(capsys, command, over)
         assert (code, out) == (3, "")
         assert "degree 130 exceeds the cap 128" in err
         # At the cap itself the search starts.
-        with pytest.raises(AssertionError, match="before any index set"):
+        with pytest.raises(AssertionError, match="before any search"):
             main([command, over.rsplit(",", 2)[0]])
 
     def test_graph_dot(self, capsys):

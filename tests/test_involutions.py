@@ -13,7 +13,9 @@ from sporbits.involutions import (
     delete_pair_standardize,
     encapsulation_count,
     enumerate_fpf,
+    enumerate_words,
     format_involution,
+    format_word,
     open_orbit,
     parse_involution,
     rank,
@@ -84,11 +86,19 @@ class TestEnumerate:
         words = [x.word for x in enumerate_fpf(4)]
         assert words == sorted(words)
 
+    def test_words_and_their_text_match_the_involutions(self):
+        for n in range(1, 6):
+            involutions = enumerate_fpf(n)
+            assert enumerate_words(n) == [x.word for x in involutions]
+            assert [format_word(x.word) for x in involutions] == [str(x) for x in involutions]
+
     def test_size_errors(self):
         with pytest.raises(InvolutionError):
             enumerate_fpf(0)
         with pytest.raises(SizeLimitError):
             enumerate_fpf(8)  # 16 letters > default cap 14
+        with pytest.raises(SizeLimitError):
+            enumerate_words(8)
 
     def test_huge_degree_refused_without_its_count(self):
         # (3999)!! has more digits than str() may print, and a count of

@@ -10,8 +10,10 @@ from sporbits.involutions import (
     InvolutionError,
     SizeLimitError,
     enumerate_fpf,
+    open_orbit,
     parse_involution,
     reverse_complement,
+    w0,
 )
 from sporbits.patterns import (
     BAD_PATTERNS,
@@ -24,7 +26,7 @@ from sporbits.patterns import (
     standardize,
 )
 
-from oracles import fpf_words, invariant_inclusion_witnesses
+from oracles import fpf_words, invariant_inclusion_witnesses, tabulated_witness
 
 p = parse_involution
 
@@ -157,6 +159,77 @@ class TestBadPatterns:
         for n in (1, 2):
             for pi in enumerate_fpf(n):
                 assert avoids_all_bad(pi)
+
+
+BAD_WORDS = [b.word for b in BAD_PATTERNS]
+# Every obstruction pattern, then an arc and the three two-arc involutions.
+SEARCHED = BAD_WORDS + [(2, 1), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
+
+
+def random_host(rng, n):
+    """Shuffle 1..2n and pair off consecutive letters."""
+    letters = list(range(1, 2 * n + 1))
+    rng.shuffle(letters)
+    word = [0] * (2 * n)
+    for a, d in zip(letters[::2], letters[1::2]):
+        word[a - 1], word[d - 1] = d, a
+    return tuple(word)
+
+
+def noncrossing_host(rng, n):
+    """A random matching without crossings.  It avoids 351624, so the search
+    reaches the four-arc patterns at any degree."""
+    word = [0] * (2 * n)
+    opened, closed, stack = 0, 0, []
+    for i in range(1, 2 * n + 1):
+        if opened < n and (closed == opened or rng.random() < 0.5):
+            stack.append(i)
+            opened += 1
+        else:
+            a = stack.pop()
+            word[a - 1], word[i - 1] = i, a
+            closed += 1
+    return tuple(word)
+
+
+def found(witness):
+    return None if witness is None else (witness.pattern.word, witness.indices)
+
+
+def assert_search_matches_tabulation(word, each_pattern=True):
+    host = FpfInvolution(word)
+    assert found(bad_pattern_witness(host)) == tabulated_witness(word, BAD_WORDS), word
+    if each_pattern:
+        for pat in SEARCHED:
+            assert found(includes_pattern(host, FpfInvolution(pat))) == tabulated_witness(word, [pat]), (word, pat)
+
+
+class TestSearchMatchesTabulation:
+    """The pruned search returns what standardizing every union of arcs gives."""
+
+    def test_every_host_to_ten(self):
+        for two_n in range(2, 11, 2):
+            for word in fpf_words(two_n):
+                assert_search_matches_tabulation(word)
+
+    def test_seeded_random_hosts(self):
+        rng = random.Random(2107)
+        for two_n, count in ((12, 40), (14, 40), (20, 20), (40, 10), (128, 4)):
+            for _ in range(count):
+                assert_search_matches_tabulation(random_host(rng, two_n // 2), each_pattern=two_n <= 20)
+            for _ in range(count if two_n < 128 else 0):
+                assert_search_matches_tabulation(noncrossing_host(rng, two_n // 2), each_pattern=two_n <= 20)
+
+    def test_both_ends_avoid_at_the_cap(self):
+        assert bad_pattern_witness(open_orbit(64)) is None
+        assert bad_pattern_witness(w0(64)) is None
+
+    @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+    def test_ends_and_noncrossing_hosts_at_the_cap(self):
+        # The tabulation of each takes about a second at 2n = 128.
+        rng = random.Random(128)
+        for word in (open_orbit(64).word, w0(64).word, *(noncrossing_host(rng, 64) for _ in range(3))):
+            assert_search_matches_tabulation(word, each_pattern=False)
 
 
 class TestAvoiders:

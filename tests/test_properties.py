@@ -1,6 +1,7 @@
 """Property tests (hypothesis): text and packed forms of an involution, the
 order symmetry of reverse complement, the facts the avoider sets rest on,
-and the flag classifier's invariance under the symplectic group."""
+the pattern search against tabulation, and the flag classifier's
+invariance under the symplectic group."""
 
 import pytest
 
@@ -27,7 +28,15 @@ from sporbits.involutions import (  # noqa: E402
     rank,
     reverse_complement,
 )
-from sporbits.patterns import avoiders, avoids_all_bad  # noqa: E402
+from sporbits.patterns import (  # noqa: E402
+    BAD_PATTERNS,
+    avoiders,
+    avoids_all_bad,
+    bad_pattern_witness,
+    includes_pattern,
+)
+
+from oracles import tabulated_witness  # noqa: E402
 
 # Derandomized, so the tier-1 run is reproducible and needs no example
 # database; no deadline, because avoids_all_bad at 2n = 16 can run over
@@ -122,6 +131,17 @@ def test_deleting_an_arc_of_an_avoider_leaves_an_avoider(word):
     if avoids_all_bad(pi):
         for arc in pi.arcs():
             assert avoids_all_bad(delete_pair_standardize(pi, arc)), (word, arc)
+
+
+@PROPERTY
+@given(st.one_of(involution_words(1, 10), avoiders_with_an_arc_inserted()), involution_words(1, 4))
+def test_pattern_search_matches_tabulation(word, pattern):
+    def found(witness):
+        return None if witness is None else (witness.pattern.word, witness.indices)
+
+    host = FpfInvolution(word)
+    assert found(bad_pattern_witness(host)) == tabulated_witness(word, [b.word for b in BAD_PATTERNS])
+    assert found(includes_pattern(host, FpfInvolution(pattern))) == tabulated_witness(word, [pattern])
 
 
 @PROPERTY
