@@ -2,9 +2,10 @@
 
 The closure order on orbits is the reverse of ordinary Bruhat order: the
 reversal w0 = 2n...1 sits at the bottom (the closed orbit) and 2143...
-at the top (the open orbit).  Comparison is by prefix dominance: mu <= pi
-in reverse order iff for every prefix length i the increasing rearrangement
-of pi_1..pi_i is entrywise <= that of mu_1..mu_i.
+at the top (the open orbit).  Comparison is by corner counts, the
+rank-matrix form of Bruhat order (Bjorner-Brenti, 2.1): with
+c_w(i, j) = #{k <= i : w(k) <= j}, mu <= pi in reverse order iff
+c_pi(i, j) >= c_mu(i, j) at every corner (i, j).
 
 Every lower set {mu : mu <= pi} comes from one engine, `_scan`, a breadth
 first scan from pi down its covers only.  The order is graded and every
@@ -105,14 +106,12 @@ class Interval:
     rank_of: Mapping[FpfInvolution, int]
 
 
-@lru_cache(maxsize=1 << 18)
-def _sorted_prefixes(word: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sorted(word[:i])) for i in range(1, len(word)))
-
-
 def reverse_leq(mu: FpfInvolution, pi: FpfInvolution) -> bool:
     """True iff mu <= pi in reverse order, i.e. the mu-orbit lies in the closure
     of the pi-orbit.
+
+    One prefix walk in O(n) memory: d[j] = c_pi(i, j) - c_mu(i, j) gains 1 on
+    [pi(i), mu(i)) or loses 1 on [mu(i), pi(i)) at step i, and must stay >= 0.
 
     >>> from .involutions import parse_involution as p
     >>> reverse_leq(p("4321"), p("3412")), reverse_leq(p("2143"), p("4321"))
@@ -120,12 +119,14 @@ def reverse_leq(mu: FpfInvolution, pi: FpfInvolution) -> bool:
     """
     if mu.degree != pi.degree:
         raise InvolutionError(f"degree mismatch: {mu.degree} vs {pi.degree}")
-    if mu.word == pi.word:
-        return True
-    for pref_pi, pref_mu in zip(_sorted_prefixes(pi.word), _sorted_prefixes(mu.word)):
-        for x, y in zip(pref_pi, pref_mu):
-            if x > y:
-                return False
+    d = [0] * (pi.degree + 1)
+    for a, b in zip(pi.word, mu.word):
+        if a < b:
+            d[a:b] = [x + 1 for x in d[a:b]]
+        elif 0 in d[b:a]:
+            return False
+        else:
+            d[b:a] = [x - 1 for x in d[b:a]]
     return True
 
 

@@ -24,6 +24,7 @@ from .involutions import (
     InvolutionError,
     SizeLimitError,
     check_degree,
+    corner_counts,
     enumerate_words,
     format_word,
     parse_involution,
@@ -47,7 +48,7 @@ from .graphs import (
     rationally_singular_locus,
     to_dot,
 )
-from .geometry import FlagError, _corner_counts, classify_flag, parse_flag_json
+from .geometry import FlagError, classify_flag, parse_flag_json
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -92,14 +93,7 @@ def cmd_order(args, cap: int):
     pi = parse_involution(args.pi)
     below = reverse_leq(mu, pi)
     above = reverse_leq(pi, mu)
-    if below and above:
-        relation = "equal"
-    elif below:
-        relation = "mu < pi"
-    elif above:
-        relation = "mu > pi"
-    else:
-        relation = "incomparable"
+    relation = "equal" if below and above else "mu < pi" if below else "mu > pi" if above else "incomparable"
     payload = {
         "schema": "sporbits.order/1",
         "mu": str(mu),
@@ -248,7 +242,7 @@ def cmd_classify(args, cap: int):
     lines = [f"orbit: {pi}", f"rank: {payload['rank']}", f"rationally smooth: {verdict}"]
     if args.grid:
         # classify_flag has checked the flag's rank grid equal to pi's grid c_pi.
-        grid = _corner_counts(pi.word, pi.degree)
+        grid = corner_counts(pi.word, pi.degree)
         payload["grid"] = [list(row[1:]) for row in grid[1:]]
         lines = chain(lines, (" ".join(str(x) for x in row) for row in payload["grid"]))
     return EXIT_OK, payload, lines

@@ -24,10 +24,12 @@ near-degenerate flags, since rank is discontinuous.
   after reduction.  This is row reduction by a lower-triangular matrix:
   each reduced row is a nonzero multiple of its original row minus a
   combination of the rows above it, so the first i reduced rows span the
-  first i original rows, corner by corner.  The reduced rows are zero before their pivots and the
-  pivots are distinct; restricted to the first j columns, the rows with
-  pivot <= j are independent and the rest vanish.  So the top-left i x j
-  corner has rank #{k <= i : pivot(k) <= j}, for every (i, j) at once.
+  first i original rows, corner by corner.  The reduced rows are zero
+  before their pivots and the pivots are distinct; restricted to the first
+  j columns, the rows with pivot <= j are independent and the rest vanish.
+  So the top-left i x j corner has rank #{k <= i : pivot(k) <= j} for every
+  (i, j) at once: `involutions.corner_counts`, the package's one grid
+  helper, which on pi's word gives the grid c_pi the flag must match.
 """
 
 from __future__ import annotations
@@ -39,9 +41,8 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
 
-from .involutions import PACKED_MAX_DEGREE, FpfInvolution, InvolutionError, SizeLimitError
+from .involutions import PACKED_MAX_DEGREE, FpfInvolution, InvolutionError, SizeLimitError, corner_counts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -150,29 +151,13 @@ def _pivots(rows: list[list[int]]) -> list[int | None]:
     return found
 
 
-def _corner_counts(columns: Sequence[int | None], size: int) -> tuple[tuple[int, ...], ...]:
-    """grid[i][j] = #{k <= i : columns[k-1] <= j}, for 0 <= i, j <= size.
-
-    With pivot columns this is the rank grid; with the word of an involution
-    pi it is pi's grid c_pi.  A None column counts nowhere.
-    """
-    count = [0] * (size + 1)
-    grid = [tuple(count)]
-    for c in columns:
-        if c is not None:
-            for j in range(c, size + 1):
-                count[j] += 1
-        grid.append(tuple(count))
-    return tuple(grid)
-
-
 def matrix_rank(m: Matrix) -> int:
     return sum(p is not None for p in _pivots(_integer_rows(m)))
 
 
 def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
     """grid[i][j] = rank of the top-left i x j corner, for 0 <= i, j <= size."""
-    return _corner_counts(_pivots(_integer_rows(m)), len(m))
+    return corner_counts(_pivots(_integer_rows(m)), len(m))
 
 
 def _rational(x, i: int, j: int) -> Fraction:
@@ -242,14 +227,10 @@ def classify_flag(flag: FlagMatrix) -> FpfInvolution:
 
 
 def _check_grid(pi: FpfInvolution, grid: tuple[tuple[int, ...], ...]) -> None:
-    m = pi.degree
-    expected = _corner_counts(pi.word, m)
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if grid[i][j] != expected[i][j]:
-                raise ConsistencyError(
-                    f"rank grid disagrees with {pi} at ({i},{j}): {grid[i][j]} vs {expected[i][j]}"
-                )
+    for i, (row, want) in enumerate(zip(grid, corner_counts(pi.word, pi.degree))):
+        for j, (x, y) in enumerate(zip(row, want)):
+            if x != y:
+                raise ConsistencyError(f"rank grid disagrees with {pi} at ({i},{j}): {x} vs {y}")
 
 
 def gram_target(mu: FpfInvolution) -> Matrix:

@@ -13,17 +13,16 @@ mu(a) > mu(d) for t = (a, d), a < d, so the neighbors of mu in [mu, pi] are
 its conjugates with that property that lie in the interval below pi; no
 order comparison is needed to find them.  `involutions._conjugates_above`
 is the one neighbor finder here: the graph takes each edge once, from its
-lower end, with that helper's least label.  The singular locus reads these
-up-edges, the upper covers and the ranks straight from the scan's packed
-words (at most 16 letters), and reuses the scan `rank_poly` just made for
-the same top.
+lower end, with that helper's least label.  The singular locus and
+`is_regular` read these up-edges, the upper covers and the ranks straight
+from the scan's packed words (at most 16 letters), and reuse the scan
+`rank_poly` just made for the same top; neither builds a graph.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 from .involutions import (
@@ -57,7 +56,6 @@ class BruhatGraph:
         return len(self.edge_labels)
 
 
-@lru_cache(maxsize=128)
 def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
     """Graph on the interval [bottom, top]; edges join conjugate members.
 
@@ -104,8 +102,13 @@ def bottom_edge_labels(top: FpfInvolution) -> tuple[Transposition, ...]:
 
 
 def is_regular(top: FpfInvolution) -> bool:
-    """True iff every vertex of the full interval graph has degree rank(top)."""
-    return _graph_is_gap_regular(build_graph(w0(top.n), top))
+    """True iff every vertex of the full interval graph has degree rank(top):
+    its conjugates below it (its own edges in the scan) plus those above it
+    inside the lower set (its occurrences in the others' edges)."""
+    lower = _walk(top)
+    up = Counter(lower.edges)
+    starts = [0, *lower.ends]
+    return all(end - start + up[p] == lower.ranks[0] for p, start, end in zip(lower.words, starts, lower.ends))
 
 
 @dataclass(frozen=True)

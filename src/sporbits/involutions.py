@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 # The largest degree any walk, enumeration or sweep covers: 135 135
 # involutions.  A fresh `verify-theorem --degree 14` takes about 8 s and
@@ -217,6 +218,26 @@ def rank(pi: FpfInvolution) -> int:
             inner = sum(1 for k in range(i, v - 1) if w[k] < i)
             total += v - i - inner
     return pi.n * pi.n - total
+
+
+def corner_counts(columns: Sequence[int | None], size: int) -> tuple[tuple[int, ...], ...]:
+    """grid[i][j] = #{k <= i : columns[k-1] <= j}, for 0 <= i, j <= size.
+
+    On the word of an involution pi this is pi's grid c_pi, and mu <= pi in
+    reverse order iff c_pi >= c_mu at every corner.  On the pivot columns
+    of a reduced matrix it is the rank grid.  A None column counts nowhere.
+
+    >>> corner_counts((2, None), 2), corner_counts((2, 1), 2)[2]
+    (((0, 0, 0), (0, 0, 1), (0, 0, 1)), (0, 1, 2))
+    """
+    count = [0] * (size + 1)
+    grid = [tuple(count)]
+    for c in columns:
+        if c is not None:
+            for j in range(c, size + 1):
+                count[j] += 1
+        grid.append(tuple(count))
+    return tuple(grid)
 
 
 def conjugate(pi: FpfInvolution, t: Transposition) -> FpfInvolution:

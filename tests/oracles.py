@@ -8,8 +8,9 @@ pattern containment over raw index subsets and by standardizing every
 union of arcs, matrix rank by plain rational elimination, corner rank
 grids by one elimination per row count, products of symplectic
 transvections by full Fraction matrix products, poset grading by longest
-chains, and the whole-degree sweep columns by dense numpy matrices (small
-degrees only) and by one lower-set bitset per element read in byte
+chains, interval-graph regularity by conjugating every vertex by every
+transposition, and the whole-degree sweep columns by dense numpy matrices
+(small degrees only) and by one lower-set bitset per element read in byte
 classes.
 """
 
@@ -308,6 +309,23 @@ def conjugate_by(w: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
     """t*w*t for t = (a, d), by composing permutations."""
     t = transposition(len(w), a, d)
     return compose(t, compose(w, t))
+
+
+def graph_regular(top: tuple[int, ...]) -> bool:
+    """Every vertex of the conjugation graph on [w0, top] has degree r(top).
+
+    The vertices are the words below top by `reverse_below`; a vertex's
+    neighbours are its distinct conjugates by every transposition, by
+    `conjugate_by`, that are vertices too.
+    """
+    m = len(top)
+    vertices = {w for w in fpf_words(m) if reverse_below(w, top)}
+    gap = inversion_rank(top)
+    for w in vertices:
+        neighbours = {conjugate_by(w, a, d) for a in range(1, m) for d in range(a + 1, m + 1)} - {w}
+        if len(neighbours & vertices) != gap:
+            return False
+    return True
 
 
 def conjugates_below(w: tuple[int, ...]) -> set[tuple[int, ...]]:

@@ -21,7 +21,7 @@ from sporbits.involutions import (
     w0,
 )
 
-from oracles import dominance_leq, longest_chain_ranks, subword_leq
+from oracles import dominance_leq, longest_chain_ranks, reverse_below, subword_leq
 
 p = parse_involution
 
@@ -51,6 +51,13 @@ class TestReverseLeq:
         for mu in elems:
             for pi in elems:
                 assert reverse_leq(mu, pi) == subword_leq(pi.word, mu.word)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_prefix_dominance_exhaustively(self, n):
+        elems = enumerate_fpf(n)
+        for mu in elems:
+            for pi in elems:
+                assert reverse_leq(mu, pi) == reverse_below(mu.word, pi.word), (str(mu), str(pi))
 
     def test_disputed_large_pairs_against_subword_oracle(self):
         # the two interval memberships on which the original reference

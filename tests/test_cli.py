@@ -377,3 +377,33 @@ def test_module_entry_point_in_a_process():
         )
         got.append((argv, proc.returncode, proc.stdout))
     assert got == runs
+
+
+# A child started from the test process would carry that process's peak RSS
+# over its exec (the kernel keeps the larger), so a small launcher starts the
+# command, passes its stdout through and prints its exit code and peak RSS.
+_PEAK_RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+print(proc.returncode, usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+def test_order_at_eight_thousand_letters_stays_small():
+    # `order` has no degree cap; the order test must run in O(n) memory.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    bottom = ",".join(map(str, range(8000, 0, -1)))
+    top = ",".join(str(x) for k in range(1, 4001) for x in (2 * k, 2 * k - 1))
+    argv = [sys.executable, "-m", "sporbits.cli", "order", bottom, top]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, last = proc.stdout.splitlines()
+    code, peak_kib = map(int, last.split())
+    assert (code, out) == (0, ["mu <= pi: true", "pi <= mu: false", "relation: mu < pi"])
+    assert peak_kib < 50 * 1024, f"peak RSS {peak_kib} KiB"

@@ -24,6 +24,8 @@ from sporbits.involutions import (
 )
 from sporbits.patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE
 
+from oracles import graph_regular
+
 p = parse_involution
 
 
@@ -100,6 +102,11 @@ class TestRegularity:
     def test_equivalent_to_palindromic(self, n):
         for pi in enumerate_fpf(n):
             assert is_regular(pi) == is_rationally_smooth(pi)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_graph_oracle(self, n):
+        for pi in enumerate_fpf(n):
+            assert is_regular(pi) == graph_regular(pi.word), str(pi)
 
 
 class TestLocalDegree:

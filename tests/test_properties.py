@@ -1,7 +1,8 @@
 """Property tests (hypothesis): text and packed forms of an involution, the
-order symmetry of reverse complement, the facts the avoider sets rest on,
-the pattern search against tabulation, and the flag classifier's
-invariance under the symplectic group."""
+order test against prefix dominance, the order symmetry of reverse
+complement, the facts the avoider sets rest on, the pattern search against
+tabulation, and the flag classifier's invariance under the symplectic
+group."""
 
 import pytest
 
@@ -36,7 +37,7 @@ from sporbits.patterns import (  # noqa: E402
     includes_pattern,
 )
 
-from oracles import tabulated_witness  # noqa: E402
+from oracles import conjugate_by, reverse_below, tabulated_witness  # noqa: E402
 
 # Derandomized, so the tier-1 run is reproducible and needs no example
 # database; no deadline, because avoids_all_bad at 2n = 16 can run over
@@ -65,6 +66,20 @@ def involution_pairs(draw, min_half, max_half):
     n = draw(st.integers(min_half, max_half))
     letters = st.permutations(range(1, 2 * n + 1))
     return paired_off(draw(letters)), paired_off(draw(letters))
+
+
+@st.composite
+def pairs_down_a_chain(draw, min_half, max_half):
+    """(mu, pi) with mu <= pi: mu is reached from pi by conjugations t*w*t,
+    t = (a, d) not an arc of w, each with w(a) < w(d), so each goes down."""
+    pi = draw(involution_words(min_half, max_half))
+    positions = st.integers(1, len(pi))
+    mu = pi
+    for a, d in draw(st.lists(st.tuples(positions, positions), max_size=8)):
+        a, d = min(a, d), max(a, d)
+        if a < d and mu[a - 1] != d and mu[a - 1] < mu[d - 1]:
+            mu = conjugate_by(mu, a, d)
+    return mu, pi
 
 
 def insert_arc(word, i, j):
@@ -112,6 +127,14 @@ def test_packed_words_unpack_and_sort_as_words(pair):
     assert _unpack(_pack(w), two_n) == w
     assert tuple(_letters(_pack(w), two_n)) == tuple(x - 1 for x in w)
     assert (_pack(u) < _pack(w)) == (u < w)
+
+
+@PROPERTY
+@given(st.one_of(involution_pairs(1, 6), pairs_down_a_chain(1, 6)))
+def test_reverse_leq_matches_prefix_dominance(pair):
+    mu, pi = pair
+    assert reverse_leq(FpfInvolution(mu), FpfInvolution(pi)) == reverse_below(mu, pi)
+    assert reverse_leq(FpfInvolution(pi), FpfInvolution(mu)) == reverse_below(pi, mu)
 
 
 @PROPERTY
