@@ -48,6 +48,7 @@ from .involutions import (
     FpfInvolution,
     InvolutionError,
     _conjugation_masks,
+    _delete_arc,
     _letters,
     _pack,
     _unpack,
@@ -252,9 +253,7 @@ def factor_rank_poly(pi: FpfInvolution) -> tuple[int, ...]:
             a, d = last, two_n
         if two_n == 2:
             return tuple(exps)
-        # Positions a and d hold the values d and a: drop those values and
-        # renumber the rest.
-        w = tuple([v - (v > a) - (v > d) for v in w if v != a and v != d])
+        w = _delete_arc(w, a, d)
 
 
 def bracket_product(exponents: Sequence[int]) -> RankPolynomial:

@@ -44,9 +44,10 @@ from .patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE, SEARCH_MAX_DEGREE, bad_
 from .graphs import (
     bottom_edge_labels,
     build_graph,
+    dot_lines,
+    edge_rows,
     graph_to_json,
     rationally_singular_locus,
-    to_dot,
 )
 from .geometry import FlagError, classify_flag, parse_flag_json
 
@@ -155,14 +156,14 @@ def cmd_graph(args, cap: int):
     bottom = parse_involution(args.bottom) if args.bottom else w0(pi.n)
     g = build_graph(bottom, pi)
     if args.output == "dot":
-        return EXIT_OK, None, to_dot(g).splitlines()
+        return EXIT_OK, None, dot_lines(g)
     # The JSON form is as large as the graph: build it only to print it.
     payload = graph_to_json(g) if args.output == "json" else None
     header = [
         f"interval [{g.bottom}, {g.top}]: {len(g.vertices)} vertices, {g.edge_count} edges",
         f"rank gap: {g.rank_gap}",
     ]
-    edges = (f"{u} -- {v} [{','.join(t.label for t in ts)}]" for (u, v), ts in g.edge_labels.items())
+    edges = (f"{u} -- {v} [{labels}]" for u, v, labels in edge_rows(g, {v: str(v) for v in g.vertices}))
     return EXIT_OK, payload, chain(header, edges)
 
 
@@ -183,7 +184,7 @@ def cmd_avoid(args, cap: int):
 def cmd_analyze(args, cap: int):
     pi = _involution(args, cap)
     if args.output == "dot":
-        return EXIT_OK, None, to_dot(build_graph(w0(pi.n), pi)).splitlines()
+        return EXIT_OK, None, dot_lines(build_graph(w0(pi.n), pi))
     # One pattern search: factor_rank_poly refuses with the witness.
     try:
         exponents, witness = factor_rank_poly(pi), None
@@ -349,28 +350,31 @@ class Command(NamedTuple):
     options: tuple[tuple[str, dict], ...] = ()
     # Only the commands that render a graph accept --output dot.
     dot: bool = False
+    # Only the commands that read the degree cap accept --max-degree-override.
+    capped: bool = True
 
 
 COMMANDS = (
     Command("enumerate", cmd_enumerate, "list all involutions of a degree", (),
             (("--degree", {"type": _digits, "required": True}),)),
-    Command("rank", cmd_rank, "poset rank of an involution"),
-    Command("order", cmd_order, "compare two involutions in reverse order", ("mu", "pi")),
+    Command("rank", cmd_rank, "poset rank of an involution", capped=False),
+    Command("order", cmd_order, "compare two involutions in reverse order", ("mu", "pi"), capped=False),
     Command("interval", cmd_interval, "all involutions below a given one"),
     Command("poly", cmd_poly, "rank generating polynomial of the lower interval"),
-    Command("factor", cmd_factor, "bracket factorization of the rank polynomial"),
+    Command("factor", cmd_factor, "bracket factorization of the rank polynomial", capped=False),
     Command("graph", cmd_graph, "interval graph; --output dot for DOT", options=(("--bottom", {}),),
             dot=True),
-    Command("avoid", cmd_avoid, "check the 17 bad patterns"),
+    Command("avoid", cmd_avoid, "check the 17 bad patterns", capped=False),
     Command("analyze", cmd_analyze, "full smoothness report for one involution", dot=True),
     Command("classify", cmd_classify, "orbit of a flag matrix from a JSON file", ("flag_file",),
             (("--grid", {"action": "store_true", "help": "also print the pairing rank grid"}),)),
     Command("verify-theorem", cmd_verify_theorem, "exhaustive three-way equivalence sweep", (),
             (("--degree", {"type": _digits}),)),
-    Command("verify-table", cmd_verify_table, "recompute the 17-row bottom-vertex table", ()),
+    Command("verify-table", cmd_verify_table, "recompute the 17-row bottom-vertex table", (),
+            capped=False),
     Command("singular-locus", cmd_singular_locus, "rationally singular locus of an orbit closure"),
     Command("export-bad-patterns", cmd_export_bad_patterns, "emit the 17-pattern list for audit",
-            ()),
+            (), capped=False),
 )
 
 
@@ -389,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(option, **kwargs)
         formats = ("text", "json", "dot") if cmd.dot else ("text", "json")
         p.add_argument("--output", choices=formats, default="text")
-        p.add_argument("--max-degree-override", type=_digits)
-        p.set_defaults(handler=cmd.handler)
+        if cmd.capped:
+            p.add_argument("--max-degree-override", type=_digits)
+        p.set_defaults(handler=cmd.handler, max_degree_override=None)
     return parser
 
 

@@ -7,36 +7,37 @@ bottom vertex of [mu, pi] against the rank gap r(pi) - r(mu) is the
 pointwise test for rational smoothness (the Carrell-Peterson degree
 criterion); vertices exceeding the gap are irregular.
 
-Vertex sets come from the cover scan behind `bruhat.interval`.  By its
-direction rule a conjugate t*mu*t != mu lies above mu exactly when
-mu(a) > mu(d) for t = (a, d), a < d, so the neighbors of mu in [mu, pi] are
-its conjugates with that property that lie in the interval below pi; no
-order comparison is needed to find them.  `involutions._conjugates_above`
-is the one neighbor finder here: the graph takes each edge once, from its
-lower end, with that helper's least label.  The singular locus and
-`is_regular` read these up-edges, the upper covers and the ranks straight
-from the scan's packed words (at most 16 letters), and reuse the scan
-`rank_poly` just made for the same top; neither builds a graph.
+Graphs are read from the one cover scan, `bruhat._walk`: [bottom, top] is
+the up-closure of bottom along the scan's upper covers, each edge is a
+down-edge it recorded, and both labels come from the XOR of the two packed
+words.  The singular locus and `is_regular` read the same scan, the one
+`rank_poly` just made for the same top, and build no graph.  The point
+queries `local_degree_test` and `bottom_edge_labels` never scan: by the
+direction rule t*mu*t != mu lies above mu exactly when mu(a) > mu(d) for
+t = (a, d), a < d, so `_up_labels` lists mu's neighbors above it and only
+their order against the top is tested.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .involutions import (
     FpfInvolution,
     InvolutionError,
     Transposition,
-    _conjugates_above,
+    _letters,
+    _pack,
     _unpack,
+    conjugate,
     delete_pair_standardize,
     encapsulation_count,
     rank,
     w0,
 )
-from .bruhat import _walk, interval, reverse_leq
+from .bruhat import _walk, reverse_leq
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,22 +65,34 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
     """
     if not reverse_leq(bottom, top):
         raise InvolutionError(f"{bottom} is not below {top} in reverse order")
-    verts = tuple(v for v in interval(top).members if reverse_leq(bottom, v))
-    by_word = {v.word: v for v in verts}
-    neighbors: dict[tuple[int, ...], list[tuple[int, ...]]] = {w: [] for w in by_word}
+    lower = _walk(top)
+    two_n = top.degree
+    # [bottom, top] is bottom's up-closure; covers precede what they cover.
+    inside = {lower.words.index(_pack(bottom.word))}
+    for k in range(max(inside), 0, -1):
+        if k in inside:
+            inside.update(lower.above[k])
+    vertex = {p: FpfInvolution(_unpack(p, two_n)) for p in sorted(lower.words[k] for k in inside)}
+    label = [[Transposition(a + 1, d + 1) if a < d else None for d in range(two_n)] for a in range(two_n)]
+    neighbors: dict[int, list[int]] = {p: [] for p in vertex}
     edges = []
-    for w in by_word:
-        for nu, (a, d) in _conjugates_above(w).items():
-            if nu in neighbors:
-                neighbors[w].append(nu)
-                neighbors[nu].append(w)
-                edges.append((min(w, nu), max(w, nu), a, d, w[d - 1], w[a - 1]))
+    for k in inside:
+        p = lower.words[k]
+        w = _letters(p, two_n)
+        for v in lower.edges[lower.ends[k - 1] if k else 0 : lower.ends[k]]:
+            if v in vertex:
+                neighbors[p].append(v)
+                neighbors[v].append(p)
+                # v = t*p*t, t = (i, j) with i < x = p(i) < y = p(j), differs from p
+                # at i, j, x and y, first at i, where v(i) = y > x: the word v is
+                # the larger, and the labels are (i, p(y)) and (x, y).
+                shift = (p ^ v).bit_length() - 1 & ~3
+                i, y = two_n - 1 - shift // 4, v >> shift & 15
+                edges.append((p, v, (label[i][w[y]], label[w[i]][y])))
     edges.sort()
-    adjacency = {by_word[w]: tuple(by_word[x] for x in sorted(ns)) for w, ns in neighbors.items()}
-    edge_labels = {
-        (by_word[u], by_word[v]): (Transposition(a, d), Transposition(b, c)) for u, v, a, d, b, c in edges
-    }
-    return BruhatGraph(bottom, top, verts, adjacency, edge_labels)
+    adjacency = {vertex[p]: tuple(vertex[x] for x in sorted(ns)) for p, ns in neighbors.items()}
+    edge_labels = {(vertex[u], vertex[v]): ts for u, v, ts in edges}
+    return BruhatGraph(bottom, top, tuple(vertex.values()), adjacency, edge_labels)
 
 
 def vertex_degree(g: BruhatGraph, v: FpfInvolution) -> int:
@@ -89,16 +102,24 @@ def vertex_degree(g: BruhatGraph, v: FpfInvolution) -> int:
     return len(g.adjacency[v])
 
 
+def _up_labels(mu: FpfInvolution) -> Iterator[Transposition]:
+    """The least label of each conjugate strictly above mu, once each, in
+    lexicographic order: t = (a, d) with a < mu(d) < mu(a), by the direction
+    rule.  Its other label, (mu(d), mu(a)), fails a < mu(d), as do the arcs."""
+    w, m = mu.word, mu.degree
+    return (Transposition(a, d) for a in range(1, m) for d in range(a + 1, m + 1) if a < w[d - 1] < w[a - 1])
+
+
 def bottom_edge_labels(top: FpfInvolution) -> tuple[Transposition, ...]:
     """Canonical labels of the edges at the bottom vertex of the interval below top.
 
     Each edge joins w0 to a distinct conjugate t*w0*t inside the interval;
     it has two labels, t and the mirror w0*t*w0, so each edge is reported
-    once, under the lesser label, as `_conjugates_above` gives it.  The
-    result has one entry per neighbor of the bottom vertex.
+    once, under the lesser label, as `_up_labels` gives it.  The result has
+    one entry per neighbor of the bottom vertex, in lexicographic order.
     """
-    above = _conjugates_above(w0(top.n).word)
-    return tuple(sorted(Transposition(*t) for nu, t in above.items() if reverse_leq(FpfInvolution(nu), top)))
+    bottom = w0(top.n)
+    return tuple(t for t in _up_labels(bottom) if reverse_leq(conjugate(bottom, t), top))
 
 
 def is_regular(top: FpfInvolution) -> bool:
@@ -126,7 +147,7 @@ def local_degree_test(mu: FpfInvolution, pi: FpfInvolution) -> LocalDegreeReport
     """
     if not reverse_leq(mu, pi):
         raise InvolutionError(f"{mu} is not below {pi} in reverse order")
-    degree = sum(1 for nu in _conjugates_above(mu.word) if reverse_leq(FpfInvolution(nu), pi))
+    degree = sum(1 for t in _up_labels(mu) if reverse_leq(conjugate(mu, t), pi))
     gap = rank(pi) - rank(mu)
     return LocalDegreeReport(degree, gap, degree > gap)
 
@@ -196,10 +217,7 @@ def lemma_check(mu: FpfInvolution, pi: FpfInvolution, t: Transposition) -> Lemma
     pi2 = delete_pair_standardize(pi, t)
     gap = rank(pi) - rank(mu)
     identity = gap == rank(pi2) - rank(mu2) + 2 * (encapsulation_count(mu, t) - encapsulation_count(pi, t))
-    if reverse_leq(mu2, pi2):
-        small_irregular = local_degree_test(mu2, pi2).irregular
-    else:
-        small_irregular = False
+    small_irregular = reverse_leq(mu2, pi2) and local_degree_test(mu2, pi2).irregular
     propagation = (not small_irregular) or local_degree_test(mu, pi).irregular
     return LemmaReport(identity, propagation)
 
@@ -209,33 +227,44 @@ def _graph_is_gap_regular(g: BruhatGraph) -> bool:
     return all(len(g.adjacency[v]) == gap for v in g.vertices)
 
 
-def to_dot(g: BruhatGraph) -> str:
-    """DOT rendering: vertices carry word and rank, edges their labels."""
-    lines = ["graph interval {"]
-    lines.append(
+def edge_rows(g: BruhatGraph, names: Mapping[FpfInvolution, str]) -> Iterator[tuple[str, str, str]]:
+    """Each edge as (u, v, labels): its ends' text from names, its labels joined by commas."""
+    for (u, v), ts in g.edge_labels.items():
+        yield names[u], names[v], ",".join(t.label for t in ts)
+
+
+def dot_lines(g: BruhatGraph) -> Iterator[str]:
+    """DOT rendering, one line at a time: vertices carry word and rank, edges their labels."""
+    yield "graph interval {"
+    yield (
         f'  graph [top="{g.top}", bottom="{g.bottom}", '
         f"rank_gap={g.rank_gap}, regular={str(_graph_is_gap_regular(g)).lower()}];"
     )
-    for v in g.vertices:
-        lines.append(f'  "{v}" [label="{v}\\nr={rank(v)}"];')
-    for (u, v), ts in g.edge_labels.items():
-        label = ",".join(t.label for t in ts)
-        lines.append(f'  "{u}" -- "{v}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    names = {v: str(v) for v in g.vertices}
+    for v, name in names.items():
+        yield f'  "{name}" [label="{name}\\nr={rank(v)}"];'
+    for u, v, labels in edge_rows(g, names):
+        yield f'  "{u}" -- "{v}" [label="{labels}"];'
+    yield "}"
+
+
+def to_dot(g: BruhatGraph) -> str:
+    """The lines of `dot_lines` as one string."""
+    return "".join(line + "\n" for line in dot_lines(g))
 
 
 def graph_to_json(g: BruhatGraph) -> dict:
     """JSON form mirroring the DOT export."""
+    names = {v: str(v) for v in g.vertices}
     return {
         "schema": "sporbits.graph/1",
         "top": str(g.top),
         "bottom": str(g.bottom),
         "rank_gap": g.rank_gap,
         "regular": _graph_is_gap_regular(g),
-        "vertices": [{"involution": str(v), "rank": rank(v)} for v in g.vertices],
+        "vertices": [{"involution": name, "rank": rank(v)} for v, name in names.items()],
         "edges": [
-            {"u": str(u), "v": str(v), "labels": [t.label for t in ts]}
+            {"u": names[u], "v": names[v], "labels": [t.label for t in ts]}
             for (u, v), ts in g.edge_labels.items()
         ],
     }

@@ -246,21 +246,18 @@ def conjugate(pi: FpfInvolution, t: Transposition) -> FpfInvolution:
     The result is fixed-point-free again; it equals pi exactly when t is an
     arc of pi or t commutes with pi.
     """
-    if t.d > pi.degree:
+    a, d = t.a, t.d
+    if d > pi.degree:
         raise InvolutionError(f"transposition {t} out of range for degree {pi.degree}")
-    return FpfInvolution(_conjugate_word(pi.word, t.a, t.d))
-
-
-def _conjugate_word(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
-    # Unless (a, d) is an arc, x = w(a) and y = w(d) lie outside {a, d}, so
+    # Unless t is an arc, x = pi(a) and y = pi(d) lie outside {a, d}, so
     # only the positions a, d, x and y change: a <-> d swaps the entries at
     # a and d and relabels the values a (at x) and d (at y).
-    x, y = word[a - 1], word[d - 1]
+    w = list(pi.word)
+    x, y = w[a - 1], w[d - 1]
     if x == d:
-        return word
-    w = list(word)
+        return pi
     w[a - 1], w[d - 1], w[x - 1], w[y - 1] = y, x, d, a
-    return tuple(w)
+    return FpfInvolution(tuple(w))
 
 
 # Packed words: letter k of a word (0-based) is the nibble at bit 4*(2n-1-k)
@@ -317,24 +314,6 @@ def _conjugation_masks(two_n: int) -> tuple:
     )
 
 
-def _conjugates_above(word: tuple[int, ...]) -> dict[tuple[int, ...], tuple[int, int]]:
-    """The distinct words t*w*t strictly above w in reverse order, each mapped
-    to its least label (a, d).
-
-    By the direction rule these come from the non-arcs t = (a, d) with
-    w(a) > w(d).  Such a conjugate has exactly the two labels t and
-    w*t*w = (w(d), w(a)); only the pair with a < w(d), the lesser, is used,
-    which also leaves out the arcs (w(d) = a).
-    """
-    m = len(word)
-    return {
-        _conjugate_word(word, a, d): (a, d)
-        for a in range(1, m)
-        for d in range(a + 1, m + 1)
-        if a < word[d - 1] < word[a - 1]
-    }
-
-
 def reverse_complement(pi: FpfInvolution) -> FpfInvolution:
     """w0 * pi * w0: reverse the word and complement the values.
 
@@ -368,9 +347,12 @@ def delete_pair_standardize(pi: FpfInvolution, arc: Transposition) -> FpfInvolut
         raise InvolutionError(f"({a},{d}) is not an arc of {pi}")
     if pi.n < 2:
         raise InvolutionError("cannot delete the only arc of a degree-2 involution")
-    survivors = [v for i, v in enumerate(pi.word, start=1) if i != a and i != d]
-    renumber = {v: r for r, v in enumerate(sorted(survivors), start=1)}
-    return FpfInvolution(tuple(renumber[v] for v in survivors))
+    return FpfInvolution(_delete_arc(pi.word, a, d))
+
+
+def _delete_arc(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
+    """The word without the values a, d (so without the positions d, a), renumbered."""
+    return tuple([v - (v > a) - (v > d) for v in word if v != a and v != d])
 
 
 def format_involution(pi: FpfInvolution) -> str:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .involutions import FpfInvolution, InvolutionError, check_degree
+from .involutions import FpfInvolution, InvolutionError, _delete_arc, check_degree
 
 BAD_PATTERN_WORDS: tuple[str, ...] = (
     "351624",
@@ -119,13 +119,6 @@ def standardize(values: tuple[int, ...]) -> tuple[int, ...]:
     """
     order = {v: r for r, v in enumerate(sorted(values), start=1)}
     return tuple(order[v] for v in values)
-
-
-def _standardized_restriction(host: FpfInvolution, indices: tuple[int, ...]) -> tuple[int, ...]:
-    # On an invariant index set the values are the indices themselves, so the
-    # ranking can be read off the sorted index tuple directly.
-    order = {v: r for r, v in enumerate(indices, start=1)}
-    return tuple(order[host.word[i - 1]] for i in indices)
 
 
 def _arcs(word: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -261,16 +254,10 @@ def avoiders(two_n: int) -> frozenset[tuple[int, ...]]:
     check_degree(two_n, AVOIDERS_MAX_DEGREE)
     below = avoiders(two_n - 2)
     bad = {pat.word for pat in BAD_PATTERNS}
-    # drop[a, d][x]: letter x renumbered once the arc (a, d) is deleted.
-    drop = {
-        (a, d): [x - (x > a) - (x > d) for x in range(two_n + 1)]
-        for a in range(2, two_n)
-        for d in range(a + 1, two_n + 1)
-    }
     found = frozenset(
         v
         for v in _first_arc_insertions(below, two_n)
-        if v not in bad and all(u in below for u in _other_arc_deletions(v, drop))
+        if v not in bad and all(u in below for u in _other_arc_deletions(v))
     )
     _AVOIDERS[two_n] = found
     return found
@@ -287,14 +274,11 @@ def _first_arc_insertions(words: frozenset[tuple[int, ...]], two_n: int):
             yield (j,) + t[: j - 2] + (1,) + t[j - 2 :]
 
 
-def _other_arc_deletions(v: tuple[int, ...], drop: dict):
+def _other_arc_deletions(v: tuple[int, ...]):
     """The word v with each of its arcs (a, d), a > 1, deleted in turn."""
     for a, d in enumerate(v, 1):
         if 1 < a < d:
-            down = drop[a, d]
-            # Positions a and d hold the values d and a, so dropping those
-            # values drops those positions.
-            yield tuple([down[x] for x in v if x != a and x != d])
+            yield _delete_arc(v, a, d)
 
 
 def irregular_certificate(host: FpfInvolution, witness: PatternWitness) -> FpfInvolution:
@@ -314,7 +298,7 @@ def irregular_certificate(host: FpfInvolution, witness: PatternWitness) -> FpfIn
     index_set = set(idx)
     if any(host.word[i - 1] not in index_set for i in idx):
         raise InvolutionError(f"indices {idx} are not permuted by {host}")
-    if _standardized_restriction(host, idx) != witness.pattern.word:
+    if standardize(tuple(host.word[i - 1] for i in idx)) != witness.pattern.word:
         raise InvolutionError(f"indices {idx} of {host} do not realize pattern {witness.pattern}")
     w = list(host.word)
     k = len(idx)

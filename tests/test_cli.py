@@ -360,6 +360,18 @@ class TestVerifyTheorem:
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["rank", "2143"], ["order", "4321", "2143"], ["factor", "2143"], ["avoid", "2143"], ["verify-table"],
+         ["export-bad-patterns"]],
+    )
+    def test_override_refused_where_no_cap_is_read(self, capsys, argv):
+        # These commands read no degree cap, so the override is not one of their options.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-degree-override", "10"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-degree-override" in capsys.readouterr().err
+
 
 def test_module_entry_point_in_a_process():
     # Every other test calls main() in-process; this runs `python -m sporbits.cli`.
@@ -407,3 +419,21 @@ def test_order_at_eight_thousand_letters_stays_small():
     code, peak_kib = map(int, last.split())
     assert (code, out) == (0, ["mu <= pi: true", "pi <= mu: false", "relation: mu < pi"])
     assert peak_kib < 50 * 1024, f"peak RSS {peak_kib} KiB"
+
+
+@pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+def test_graph_dot_of_the_top_at_twelve_stays_small():
+    # DOT goes out a line at a time, never as one string split into lines.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    top = "2,1,4,3,6,5,8,7,10,9,12,11"
+    argv = [sys.executable, "-m", "sporbits.cli", "graph", top, "--max-degree-override", "12", "--output", "dot"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, last = proc.stdout.splitlines()
+    code, peak_kib = map(int, last.split())
+    # a header of two lines, 10395 vertices, 155925 edges and the closing brace
+    assert (code, out[0], out[-1], len(out)) == (0, "graph interval {", "}", 2 + 10395 + 155925 + 1)
+    assert peak_kib < 120 * 1024, f"peak RSS {peak_kib} KiB"

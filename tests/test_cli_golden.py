@@ -1,8 +1,9 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout, per command.
 
 Every command runs in text and JSON at 2n <= 8 (DOT too for `graph` and
-`analyze`), beside the refusals: over the cap, a bad override, an odd
-degree, bad text, digits other than ASCII and a flag over the 16-row cap.
+`analyze`), beside the refusals: over the cap, a bad override, an override on a
+command that reads no cap, an odd degree, bad text, digits other than ASCII
+and a flag over the 16-row cap.
 The pinned values were captured from the CLI before its degree checks were
 merged into `involutions.check_degree` and before its handlers returned
 payloads to one emitter in `main`, so any change to a command's stdout or
@@ -70,7 +71,9 @@ CASES = {
     "poly-over-cap": (["poly", "2,1,4,3,6,5,8,7,10,9,12,11"], 3, EMPTY),
     "verify-theorem-over-cap": (["verify-theorem", "--degree", "12", "--output", "json"], 3, EMPTY),
     "override-16": (["enumerate", "--degree", "4", "--max-degree-override", "16"], 3, EMPTY),
-    "override-7": (["rank", "2143", "--max-degree-override", "7"], 2, EMPTY),
+    "override-7": (["interval", "2143", "--max-degree-override", "7"], 2, EMPTY),
+    # `rank` reads no degree cap, so argparse refuses the override.
+    "rank-override": (["rank", "2143", "--max-degree-override", "10"], 2, EMPTY),
     "degree-5": (["enumerate", "--degree", "5"], 2, EMPTY),
     "verify-theorem-degree-5": (["verify-theorem", "--degree", "5"], 2, EMPTY),
     "bad-text": (["analyze", "2143x"], 2, EMPTY),

@@ -14,18 +14,18 @@ import pytest
 
 from sporbits import bruhat, cli
 from sporbits.bruhat import _walk, interval, rank_poly
-from sporbits.graphs import build_graph, local_degree_test, rationally_singular_locus
+from sporbits.graphs import _up_labels, build_graph, local_degree_test, rationally_singular_locus
 from sporbits.involutions import (
     DEFAULT_MAX_DEGREE,
     PACKED_MAX_DEGREE,
     FpfInvolution,
     SizeLimitError,
-    _conjugate_word,
-    _conjugates_above,
+    Transposition,
     _conjugation_masks,
     _letters,
     _pack,
     _unpack,
+    conjugate,
     open_orbit,
     rank,
     w0,
@@ -97,7 +97,7 @@ def test_direction_rule_exhaustive(two_n):
         below, above = set(), {}
         for a, d in pairs(two_n):
             v = conjugate_by(w, a, d)
-            assert _conjugate_word(w, a, d) == v
+            assert conjugate(FpfInvolution(w), Transposition(a, d)).word == v
             if w[a - 1] == d:
                 assert v == w
                 continue
@@ -111,7 +111,9 @@ def test_direction_rule_exhaustive(two_n):
             else:
                 above.setdefault(v, (a, d))
         assert conjugates_below(w) == below
-        assert _conjugates_above(w) == above
+        # the up-label generator gives each conjugate above once, under its least label
+        up = [(t.a, t.d) for t in _up_labels(FpfInvolution(w))]
+        assert {conjugate_by(w, a, d): (a, d) for a, d in up} == above and len(up) == len(above)
 
 
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8])
@@ -282,6 +284,23 @@ def test_build_graph_sampled_bottoms_at_eight():
         below = oracle_interval(top)
         for bottom in rng.sample(below, min(3, len(below))):
             check_graph(bottom, top)
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
+def test_scan_edge_labels_are_the_oracle_labels(two_n):
+    # The graph on the whole degree holds every conjugate pair, so every scan
+    # edge, once each, with both labels read from the XOR of its two packed
+    # words; the oracle's labels are every transposition joining its ends.
+    oracle = {}
+    for u in fpf_words(two_n):
+        for a, d in pairs(two_n):
+            v = conjugate_by(u, a, d)
+            if u < v:
+                oracle.setdefault((u, v), []).append((a, d))
+    top = open_orbit(two_n // 2)
+    g = build_graph(w0(two_n // 2), top)
+    assert g.edge_count == len(_walk(top).edges)
+    assert {(u.word, v.word): [(t.a, t.d) for t in ts] for (u, v), ts in g.edge_labels.items()} == oracle
 
 
 @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
