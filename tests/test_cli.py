@@ -9,7 +9,7 @@ from sporbits import patterns, sweep
 from sporbits.cli import main
 from sporbits.patterns import BOTTOM_VERTEX_TABLE
 from sporbits.geometry import flag_to_json, gram_basis_flag
-from sporbits.involutions import parse_involution
+from sporbits.involutions import _pack, parse_involution
 
 p = parse_involution
 
@@ -330,6 +330,50 @@ class TestVerifyTheorem:
         assert code == 0
         assert "degree 4: 3 involutions, 3 rationally smooth, equivalence holds" in out
         assert "verify-theorem: OK" in out
+
+    def test_mismatches_reported_in_word_order(self, capsys, monkeypatch):
+        # Flip avoidance at known words, at ranks that the sweep meets out of
+        # word order; each flip must come back as one counterexample.
+        flips = {6: ["214365", "351624", "654321"], 8: ["21438765", "21768435", "34127856", "35162487"]}
+        packed_avoiders = sweep._packed_avoiders
+
+        def flipped(two_n):
+            words = {_pack(p(w).word) for w in flips.get(two_n, ())}
+            return frozenset(packed_avoiders(two_n) ^ words)
+
+        monkeypatch.setattr(sweep, "_packed_avoiders", flipped)
+        code, out, _ = run(capsys, "verify-theorem", "--degree", "8")
+        assert code == 1
+        assert out.splitlines() == [
+            "degree 2: 1 involutions, 1 rationally smooth, equivalence holds",
+            "degree 4: 3 involutions, 3 rationally smooth, equivalence holds",
+            "degree 6: 15 involutions, 14 rationally smooth, 3 MISMATCHES",
+            "  counterexample 214365: avoids=False palindromic=True regular=True",
+            "  counterexample 351624: avoids=True palindromic=False regular=False",
+            "  counterexample 654321: avoids=False palindromic=True regular=True",
+            "degree 8: 105 involutions, 68 rationally smooth, 4 MISMATCHES",
+            "  counterexample 21438765: avoids=False palindromic=True regular=True",
+            "  counterexample 21768435: avoids=True palindromic=False regular=False",
+            "  counterexample 34127856: avoids=True palindromic=False regular=False",
+            "  counterexample 35162487: avoids=True palindromic=False regular=False",
+            "verify-theorem: MISMATCH (degrees 2..8)",
+        ]
+        code, data, _ = run_json(capsys, "verify-theorem", "--degree", "8")
+        assert code == 1
+        assert data["ok"] is False
+        smooth = {"avoids": False, "palindromic": True, "regular": True}
+        singular = {"avoids": True, "palindromic": False, "regular": False}
+        assert [(d["degree"], d["count"], d["smooth"], d["mismatches"]) for d in data["degrees"]] == [
+            (2, 1, 1, []),
+            (4, 3, 3, []),
+            (6, 15, 14, [{"involution": "214365", **smooth}, {"involution": "351624", **singular},
+                         {"involution": "654321", **smooth}]),
+            (8, 105, 68, [{"involution": "21438765", **smooth}, {"involution": "21768435", **singular},
+                          {"involution": "34127856", **singular}, {"involution": "35162487", **singular}]),
+        ]
+        assert [list(m) for d in data["degrees"] for m in d["mismatches"]] == [
+            ["involution", "avoids", "palindromic", "regular"]
+        ] * 7
 
     def test_over_cap_refused(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "--degree", "12")
