@@ -18,12 +18,14 @@ then).  On 0-based letters each conjugate below w comes once, from
 t = (i, j) with i < x = w(i), i < j and y = w(j) > x.  With
 c = #{i < k < j : x < w(k) < y}, the length rises by 1 + 2c from w to w*t
 and by 1 + 2c + 2[x < j < y] from w*t to t*w*t, so the rank, half the
-length missing to the reversal, falls by 1 + 2c + [x < j < y].  Running
-j = i+1, i+2, ..., `bound` keeps the least w(k) > x over i < k < j: if
-bound < y it is a w(k) between x and y, and if some w(k) is, then
-bound <= w(k) < y.  So c = 0 exactly when y < bound, and (i, j) gives a
-cover exactly when x < y < bound and not x < j < y.  Every conjugate below is recorded
-as a down-edge too, for d↓ and the up-degrees inside the lower set.
+length missing to the reversal, falls by 1 + 2c + [x < j < y].  The scan
+runs over the values y = x+1, x+2, ... at their positions j = w(y), and
+`lowest` keeps the least position w(z) > i over x < z < y: if lowest < j
+it is a k between i and j with x < w(k) < y, and if some k is, then
+lowest <= k < j.  So c = 0 exactly when j < lowest, and (i, j) gives a
+cover exactly when i < j < lowest and not x < j < y.  Every conjugate
+below is recorded as a down-edge too, for d↓ and the up-degrees inside
+the lower set.
 
 The scan runs on packed words, 4 bits per letter, so a step is one XOR of
 an int; `check_degree` keeps every scan to a degree a packed word holds.
@@ -175,14 +177,14 @@ def _scan(pi: FpfInvolution) -> LowerSet:
             if x < i:
                 continue
             masks_ix = masks[i][x]
-            bound = two_n  # the least w(l) > x over i < l < j, or two_n
-            for j in range(i + 1, two_n):
-                y = w[j]
-                if y > x:
+            lowest = two_n  # the least w(z) > i over x < z < y, or two_n
+            for y in range(x + 1, two_n):
+                j = w[y]
+                if j > i:
                     v = p ^ masks_ix[j][y]
                     edges.append(v)
-                    if y < bound:
-                        bound = y
+                    if j < lowest:
+                        lowest = j
                         if not x < j < y:
                             m = index.get(v)
                             if m is None:

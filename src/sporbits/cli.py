@@ -306,17 +306,12 @@ def cmd_verify_theorem(args, cap: int):
                 "palindromic": row.palindromic,
                 "regular": row.regular,
             }
-            for row in survey
-            if not row.consistent
+            for row in survey.mismatches
         ]
-        smooth = sum(1 for row in survey if row.palindromic)
-        degree_reports.append(
-            {"degree": two_n, "count": len(survey), "smooth": smooth, "mismatches": mismatches}
-        )
+        count, smooth = survey.count, survey.smooth
+        degree_reports.append({"degree": two_n, "count": count, "smooth": smooth, "mismatches": mismatches})
         verdict = f"{len(mismatches)} MISMATCHES" if mismatches else "equivalence holds"
-        lines.append(
-            f"degree {two_n}: {len(survey)} involutions, {smooth} rationally smooth, {verdict}"
-        )
+        lines.append(f"degree {two_n}: {count} involutions, {smooth} rationally smooth, {verdict}")
         lines += (
             f"  counterexample {bad['involution']}: avoids={bad['avoids']} "
             f"palindromic={bad['palindromic']} regular={bad['regular']}"

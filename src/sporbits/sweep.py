@@ -7,13 +7,17 @@ involution of a degree in one pass, in pure Python.
 The degree is scanned once from its top, the open orbit, by the cover
 scan `bruhat._scan` (its module docstring gives the cover rule), which
 yields every element with its rank, upper covers and d↓, the number of
-conjugates below it.  `PosetTables.elements` is built only when read.
+conjugates below it.  The tables keep the scan's order, descending rank
+with the top first, and are never sorted into word order: an element is
+its scan index, each rank is one contiguous range of indices, and the
+scan's edge list is dropped once d↓ and its length are read.
+`PosetTables.elements` is built only when read.
 
 The up-set is U(mu) = {mu} ∪ ⋃ U(c) over the upper covers c of mu.  Each
-U(mu) is a Python int used as a bitset, with the elements numbered in
-descending rank-major order, so the up-sets of rank r fit in the bits of
-the ranks >= r.  The sets are built from the top rank down, and each level
-is dropped once the level below it is built.
+U(mu) is a Python int used as a bitset, bit m for scan index m, so bit 0
+is the top and the up-sets of rank r fit in the bits of the ranks >= r.
+The sets are built from the top rank down, and each level is dropped once
+the level below it is built.
 
 No histogram is read per element.  Every column comes from bit-sliced
 counters (Knuth, TAOCP 4A §7.1.3): a counter holds one small count per
@@ -55,12 +59,21 @@ h_k(pi) = #{mu of rank k : mu <= pi}.  The columns:
   built by arc insertion, packed once per degree; `avoids_all_bad` stays
   the per-element path.
 
+Each column is one mask over the scan indices: every rank's window result
+is shifted to the start of its range and ORed in, and the avoids mask is
+built once per survey by one pass over the words.  `theorem_survey`
+returns the three masks as a `TheoremSurvey`: its count, its smooth count
+(the palindromic popcount) and its mismatches (rows only where the masks
+disagree, in word order) are all `verify-theorem` reads; the row of every
+element, in word order, is built only when `rows` is read.
+
 No order matrix is stored.  The tables of a degree (words, ranks, upper
 covers) are memoized; every survey rebuilds the up-sets and counters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import zip_longest
@@ -81,16 +94,16 @@ class ConjugationPairs:
 @dataclass(eq=False)
 class PosetTables:
     two_n: int
-    # The words packed as in `involutions._pack`, in lexicographic word
-    # order; every other per-element tuple follows it.
-    packed: tuple[int, ...]
-    ranks: tuple[int, ...]
+    # The words packed as in `involutions._pack`, in scan order: descending
+    # rank, the top first.  Every other per-element list follows it.
+    packed: list[int]
+    ranks: list[int]
     # Number of distinct conjugates t*mu*t strictly below mu.
-    down_degree: tuple[int, ...]
-    # Indices of the conjugates of rank one more.
-    upper_covers: tuple[tuple[int, ...], ...]
-    # Element indices of each rank, in word order.
-    levels: tuple[tuple[int, ...], ...]
+    down_degree: list[int]
+    # Scan indices of the conjugates of rank one more.
+    upper_covers: list[list[int]]
+    # The scan indices of each rank, one contiguous range per rank.
+    levels: tuple[range, ...]
     neighbors: ConjugationPairs
     # No order matrix is stored (up-sets are rebuilt per survey), so the
     # traced leq_bytes and leq_density read 0.
@@ -98,7 +111,7 @@ class PosetTables:
 
     @cached_property
     def elements(self) -> tuple[FpfInvolution, ...]:
-        """The involutions in word order, built on first use; a survey never uses them."""
+        """The involutions in scan order, built on first use; a survey never uses them."""
         return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.packed)
 
 
@@ -121,47 +134,42 @@ def poset_tables(two_n: int) -> PosetTables:
 
 def _build_tables(two_n: int) -> PosetTables:
     lower = _scan(open_orbit(two_n // 2))
-    words, ranks, above = lower.words, lower.ranks, lower.above
-    down_degree = [end - start for start, end in zip([0, *lower.ends], lower.ends)]
-    # Packed words compare as the words do, so sorting them is lexicographic.
-    order = sorted(range(len(words)), key=words.__getitem__)
-    at = [0] * len(words)  # scan index -> word index
-    for m, k in enumerate(order):
-        at[k] = m
-    levels: list[list[int]] = [[] for _ in range(ranks[0] + 1)]
-    for m, k in enumerate(order):
-        levels[ranks[k]].append(m)
+    ranks, ends = lower.ranks, lower.ends
+    sizes = Counter(ranks)
+    levels = []
+    stop = len(ranks)  # the scan meets the ranks in descending order
+    for r in range(ranks[0] + 1):
+        levels.append(range(stop - sizes[r], stop))
+        stop -= sizes[r]
     return PosetTables(
         two_n,
-        tuple(words[k] for k in order),
-        tuple(ranks[k] for k in order),
-        tuple(down_degree[k] for k in order),
-        tuple(tuple(at[c] for c in above[k]) for k in order),
-        tuple(map(tuple, levels)),
+        lower.words,
+        ranks,
+        [end - start for start, end in zip([0, *ends], ends)],
+        lower.above,
+        tuple(levels),
         ConjugationPairs(2 * len(lower.edges)),
     )
 
 
 def _upper_sets(tables: PosetTables):
-    """Yield (element index, up-set) level by level, from the top rank down.
+    """Yield (scan index, up-set) in scan order, from the top rank down.
 
-    The up-set is an int with the bit of each member set.  Bits number the
-    elements in descending rank-major order, in word order within a rank, so
-    bit 0 is the top.  Only the level above is kept.
+    The up-set is an int with bit m set for each member m, numbered by scan
+    index, so bit 0 is the top.  Only the level above is kept.
     """
     covers = tables.upper_covers
-    above: dict[int, int] = {}
-    bit = 0
+    above: list[int] = []
+    above_start = 0
     for level in reversed(tables.levels):
-        current = {}
+        current = []
         for m in level:
-            upper = 1 << bit
-            bit += 1
+            upper = 1 << m
             for c in covers[m]:
-                upper |= above[c]
-            current[m] = upper
+                upper |= above[c - above_start]
+            current.append(upper)
             yield m, upper
-        above = current
+        above, above_start = current, level.start
 
 
 # Bit-sliced counters: a list of planes, plane b holding bit b of each count.
@@ -216,8 +224,8 @@ def _window(planes: list[int], lo: int, mask: int) -> list[int]:
     return [plane >> lo & mask for plane in planes]
 
 
-def _columns(tables: PosetTables) -> list[tuple[bool, bool]]:
-    """(palindromic, regular) of every element, in word order."""
+def _columns(tables: PosetTables) -> tuple[int, int]:
+    """The masks of the palindromic and of the regular elements, bit m for scan index m."""
     ranks, down_degree, levels = tables.ranks, tables.down_degree, tables.levels
     # One counter per (rank, d↓) class, as the module docstring sets out.
     counters: dict[tuple[int, int], list[int]] = {}
@@ -232,23 +240,15 @@ def _columns(tables: PosetTables) -> list[tuple[bool, bool]]:
     for planes in hist:
         total = _add(total, planes)
 
-    columns: list[tuple[bool, bool]] = [(False, False)] * len(ranks)
-    lo = 0
-    for r in reversed(range(len(levels))):
-        level = levels[r]
-        mask = (1 << len(level)) - 1
+    asymmetric = irregular = 0
+    for r, level in enumerate(levels):
+        lo, mask = level.start, (1 << len(level)) - 1
         near = [_window(hist[k], lo, mask) for k in range(r + 1)]
-        asymmetric = 0
         for k in range(r // 2 + 1):
-            asymmetric |= _differ(near[k], near[r - k])
-        irregular = _differ(_window(weighted, lo, mask), _times(_window(total, lo, mask), r))
-        # Bit i of each mask, as character i.
-        asymmetric_at = format(asymmetric, f"0{len(level)}b")[::-1]
-        irregular_at = format(irregular, f"0{len(level)}b")[::-1]
-        for m, a, i in zip(level, asymmetric_at, irregular_at):
-            columns[m] = (a == "0", i == "0")
-        lo += len(level)
-    return columns
+            asymmetric |= _differ(near[k], near[r - k]) << lo
+        irregular |= _differ(_window(weighted, lo, mask), _times(_window(total, lo, mask), r)) << lo
+    everything = (1 << len(ranks)) - 1
+    return everything ^ asymmetric, everything ^ irregular
 
 
 @dataclass
@@ -272,18 +272,67 @@ _PLAIN_TEXT = str.maketrans("012345678", "123456789")
 _COMMA_TEXT = str.maketrans({h: f",{v}" for v, h in enumerate("0123456789abcdef", start=1)})
 
 
-def theorem_survey(two_n: int) -> tuple[OrbitSurveyRow, ...]:
-    """Avoidance, palindromicity, and regularity verdicts for all of I_2n, in word order."""
+def _flags(mask: int, size: int) -> str:
+    """Character m is "1" exactly when bit m of mask is set, for m < size."""
+    return format(mask, f"0{size}b")[::-1]
+
+
+def _members(mask: int):
+    """Yield the indices of the set bits of mask, ascending."""
+    flags = format(mask, "b")[::-1]
+    m = flags.find("1")
+    while m >= 0:
+        yield m
+        m = flags.find("1", m + 1)
+
+
+@dataclass(frozen=True, eq=False)
+class TheoremSurvey:
+    """The three verdicts of one degree as masks, bit m for scan index m of
+    the tables.  Rows are built only where they are read."""
+
+    tables: PosetTables
+    avoids: int
+    palindromic: int
+    regular: int
+
+    @property
+    def count(self) -> int:
+        return len(self.tables.packed)
+
+    @property
+    def smooth(self) -> int:
+        """The number of rationally smooth (palindromic) involutions."""
+        return self.palindromic.bit_count()
+
+    @property
+    def mismatches(self) -> tuple[OrbitSurveyRow, ...]:
+        """The rows where the three verdicts disagree, in word order."""
+        return self._rows(self.avoids ^ self.palindromic | self.palindromic ^ self.regular)
+
+    @cached_property
+    def rows(self) -> tuple[OrbitSurveyRow, ...]:
+        """Every row, in word order."""
+        return self._rows((1 << self.count) - 1)
+
+    def _rows(self, mask: int) -> tuple[OrbitSurveyRow, ...]:
+        """The rows of the set bits of mask, in word order."""
+        packed, ranks, plain = self.tables.packed, self.tables.ranks, self.tables.two_n <= 9
+        verdicts = [_flags(v, self.count) for v in (self.avoids, self.palindromic, self.regular)]
+        rows = []
+        for m in sorted(_members(mask), key=packed.__getitem__):
+            hex_word = format(packed[m], "x")
+            word = hex_word.translate(_PLAIN_TEXT) if plain else hex_word.translate(_COMMA_TEXT)[1:]
+            rows.append(OrbitSurveyRow(word, ranks[m], *(v[m] == "1" for v in verdicts)))
+        return tuple(rows)
+
+
+def theorem_survey(two_n: int) -> TheoremSurvey:
+    """Avoidance, palindromicity, and regularity verdicts for all of I_2n."""
     tables = poset_tables(two_n)
     avoiding = _packed_avoiders(two_n)
-    if two_n <= 9:
-        words = [format(p, "x").translate(_PLAIN_TEXT) for p in tables.packed]
-    else:
-        words = [format(p, "x").translate(_COMMA_TEXT)[1:] for p in tables.packed]
-    return tuple(
-        OrbitSurveyRow(word, r, p in avoiding, palindromic, regular)
-        for word, p, r, (palindromic, regular) in zip(words, tables.packed, tables.ranks, _columns(tables))
-    )
+    avoids = int("".join("1" if p in avoiding else "0" for p in reversed(tables.packed)), 2)
+    return TheoremSurvey(tables, avoids, *_columns(tables))
 
 
 @lru_cache(maxsize=None)

@@ -73,7 +73,7 @@ def test_criterion_2_threeway_equivalence(capsys):
     ok = True
     for two_n in (4, 6, 8, 10):
         start = time.time()
-        rows = sweep.theorem_survey(two_n)
+        rows = sweep.theorem_survey(two_n).rows
         timings[two_n] = time.time() - start
         ok = ok and all(r.consistent for r in rows)
     # spot re-check with the reference per-element path at small degrees
@@ -199,7 +199,7 @@ def test_criterion_7_automorphism_stability(capsys):
     structure_ok = closed and fixed == 9 and swapped_pairs == 4
     verdict_ok = True
     for two_n in (2, 4, 6, 8):
-        smooth = {row.word: row.palindromic for row in sweep.theorem_survey(two_n)}
+        smooth = {row.word: row.palindromic for row in sweep.theorem_survey(two_n).rows}
         for pi in enumerate_fpf(two_n // 2):
             if smooth[str(pi)] != smooth[str(reverse_complement(pi))]:
                 verdict_ok = False

@@ -22,14 +22,13 @@ from sporbits.involutions import (
 from sporbits.patterns import avoids_all_bad
 
 
-def bit_order(tables):
-    """Element indices by up-set bit: descending rank-major, word order within a rank."""
-    return [m for level in reversed(tables.levels) for m in level]
+def members(upper):
+    """Element indices of an up-set int: bit m is scan index m."""
+    return {m for m in range(upper.bit_length()) if upper >> m & 1}
 
 
-def members(tables, upper):
-    """Element indices of an up-set int."""
-    return {m for b, m in enumerate(bit_order(tables)) if upper >> b & 1}
+def never_increase(ranks):
+    return all(a >= b for a, b in zip(ranks, ranks[1:]))
 
 
 def down_covers(tables):
@@ -54,17 +53,20 @@ class TestTables:
     def test_upper_sets_match_pairwise_comparison(self):
         for two_n in (2, 4, 6, 8, 10):
             tables = sweep.poset_tables(two_n)
-            words = [el.word for el in tables.elements]
-            assert words == oracles.fpf_words(two_n)
+            # The tables keep scan order; the oracle's words are sorted.
+            words = oracles.fpf_words(two_n)
+            at = {el.word: m for m, el in enumerate(tables.elements)}
+            assert sorted(at) == words and len(at) == len(tables.elements)
             if two_n <= 8:
                 expected = {m: {p for p, pi in enumerate(words) if oracles.reverse_below(mu, pi)} for m, mu in enumerate(words)}
             else:
                 leq = oracles.dense_leq(words)
                 expected = {m: set(leq[m].nonzero()[0].tolist()) for m in range(len(words))}
+            expected = {at[words[m]]: {at[words[p]] for p in above} for m, above in expected.items()}
             got = dict(sweep._upper_sets(tables))
             assert got.keys() == expected.keys()
             for m, upper in got.items():
-                assert members(tables, upper) == expected[m]
+                assert members(upper) == expected[m]
 
     def test_dense_oracle_matches_pairwise_comparison(self):
         for two_n in (4, 6, 8):
@@ -105,9 +107,11 @@ class TestTables:
         # drops by 1.
         for two_n in range(2, 13, 2):
             tables = sweep.poset_tables(two_n)
-            words = oracles.fpf_words(two_n)
-            assert len(tables.packed) == len(words) == fpf_count(two_n // 2)
-            assert tables.packed == tuple(map(_pack, words))
+            # The tables keep scan order; packed words sort as the words do.
+            sorted_words = oracles.fpf_words(two_n)
+            assert len(tables.packed) == len(sorted_words) == fpf_count(two_n // 2)
+            assert sorted(tables.packed) == list(map(_pack, sorted_words))
+            words = [_unpack(p, two_n) for p in tables.packed]
             index = {w: m for m, w in enumerate(words)}
             ranks = [oracles.inversion_rank(w) for w in words]
             upper_covers = [[] for _ in words]
@@ -121,8 +125,9 @@ class TestTables:
                         upper_covers[index[v]].append(m)
             assert [sorted(c) for c in tables.upper_covers] == upper_covers, two_n
             assert tables.neighbors.nnz == 2 * edges
-            assert tables.ranks == tuple(ranks) == tuple(map(rank, tables.elements))
-            assert tables.levels == tuple(
+            assert tables.ranks == ranks == list(map(rank, tables.elements))
+            assert never_increase(tables.ranks), two_n
+            assert tuple(map(tuple, tables.levels)) == tuple(
                 tuple(m for m, r in enumerate(tables.ranks) if r == k) for k in range(len(tables.levels))
             )
 
@@ -135,13 +140,18 @@ class TestTables:
 
     def test_bits_are_descending_rank_major(self):
         tables = sweep.poset_tables(10)
-        order = bit_order(tables)
-        assert sorted(order) == list(range(len(tables.elements)))
+        # Bit m is scan index m: the levels, top rank first, run through every
+        # index in order, and the ranks never increase along them.
+        order = [m for level in reversed(tables.levels) for m in level]
+        assert order == list(range(len(tables.elements)))
+        assert never_increase(tables.ranks)
         keys = [(-tables.ranks[m], m) for m in order]
         assert keys == sorted(keys)
-        # The up-sets of rank r lie in the bits of the ranks >= r.
+        # The up-sets of rank r lie in the bits of the ranks >= r, and an
+        # element's own bit is the highest of its up-set.
         for m, upper in sweep._upper_sets(tables):
             assert upper.bit_length() <= sum(map(len, tables.levels[tables.ranks[m] :]))
+            assert upper.bit_length() == m + 1
 
 
 class TestCounters:
@@ -170,17 +180,20 @@ class TestCounters:
         for two_n in range(2, 13, 2):
             tables = sweep.poset_tables(two_n)
             expected = oracles.byte_class_columns(tables.ranks, tables.down_degree, down_covers(tables))
-            assert sweep._columns(tables) == expected, two_n
+            palindromic, regular = sweep._columns(tables)
+            assert (palindromic | regular) >> len(expected) == 0
+            got = [(palindromic >> m & 1 == 1, regular >> m & 1 == 1) for m in range(len(expected))]
+            assert got == expected, two_n
 
 
 class TestSurvey:
     def test_rows_follow_enumeration_order(self):
-        rows = sweep.theorem_survey(6)
+        rows = sweep.theorem_survey(6).rows
         assert [r.word for r in rows] == [str(e) for e in enumerate_fpf(3)]
 
     def test_verdicts_match_reference_path(self):
         for two_n in (2, 4, 6, 8):
-            rows = sweep.theorem_survey(two_n)
+            rows = sweep.theorem_survey(two_n).rows
             for row, pi in zip(rows, enumerate_fpf(two_n // 2)):
                 assert row.rank == rank(pi)
                 assert row.avoids == avoids_all_bad(pi)
@@ -189,7 +202,7 @@ class TestSurvey:
 
     def test_rows_match_dense_oracle(self):
         for two_n in (2, 4, 6, 8, 10):
-            rows = sweep.theorem_survey(two_n)
+            rows = sweep.theorem_survey(two_n).rows
             words, ranks, columns = oracles.dense_survey(two_n)
             assert len(rows) == len(words)
             for row, pi, word, r, (palindromic, regular) in zip(rows, enumerate_fpf(two_n // 2), words, ranks, columns):
@@ -199,16 +212,32 @@ class TestSurvey:
 
     def test_warm_tables_give_the_same_rows(self):
         sweep._TABLES.pop(8, None)
-        cold = sweep.theorem_survey(8)
+        cold = sweep.theorem_survey(8).rows
         assert 8 in sweep._TABLES
-        assert sweep.theorem_survey(8) == cold
+        assert sweep.theorem_survey(8).rows == cold
 
     def test_smooth_counts(self):
         expected = {2: 1, 4: 3, 6: 14, 8: 68, 10: 320, 12: 1472}
         for two_n, smooth in expected.items():
-            rows = sweep.theorem_survey(two_n)
-            assert sum(row.palindromic for row in rows) == smooth
-            assert all(row.consistent for row in rows)
+            survey = sweep.theorem_survey(two_n)
+            assert survey.count == len(survey.rows) == fpf_count(two_n // 2)
+            assert survey.smooth == sum(row.palindromic for row in survey.rows) == smooth
+            assert all(row.consistent for row in survey.rows)
+            assert survey.mismatches == ()
+
+    def test_mismatches_are_the_inconsistent_rows(self):
+        # Flip seeded bits of the avoids and regular masks: the mismatches
+        # are then exactly the inconsistent rows, in word order.
+        rng = random.Random(24)
+        for two_n in (6, 8, 10):
+            survey = sweep.theorem_survey(two_n)
+            flips = [sum(1 << m for m in rng.sample(range(survey.count), 5)) for _ in range(2)]
+            flipped = sweep.TheoremSurvey(
+                survey.tables, survey.avoids ^ flips[0], survey.palindromic, survey.regular ^ flips[1]
+            )
+            assert flipped.mismatches == tuple(row for row in flipped.rows if not row.consistent)
+            assert 5 <= len(flipped.mismatches) <= 10
+            assert [row.word for row in flipped.rows] == [str(e) for e in enumerate_fpf(two_n // 2)]
 
 
 @pytest.mark.parametrize("two_n", [2, 4, 6, 8, 10])
@@ -244,10 +273,11 @@ def test_up_degree_at_least_rank_gap_over_every_pair(two_n):
 
 @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
 def test_full_sweep_at_fourteen():
-    rows = sweep.theorem_survey(14)
-    assert len(rows) == 135_135
-    assert sum(row.palindromic for row in rows) == 6682
-    assert all(row.consistent for row in rows)
+    survey = sweep.theorem_survey(14)
+    assert survey.count == 135_135
+    assert survey.smooth == 6682
+    assert survey.avoids == survey.palindromic == survey.regular
+    assert survey.mismatches == ()
     # The edge-count regular column rests on d↓ = rank (see the sweep docstring).
     tables = sweep.poset_tables(14)
     assert len(tables.packed) == 135_135
