@@ -334,7 +334,12 @@ class TestVerifyTheorem:
     def test_mismatches_reported_in_word_order(self, capsys, monkeypatch):
         # Flip avoidance at known words, at ranks that the sweep meets out of
         # word order; each flip must come back as one counterexample.
-        flips = {6: ["214365", "351624", "654321"], 8: ["21438765", "21768435", "34127856", "35162487"]}
+        # At 2n = 10 the words are in comma form.
+        flips = {
+            6: ["214365", "351624", "654321"],
+            8: ["21438765", "21768435", "34127856", "35162487"],
+            10: ["2,1,10,9,8,7,6,5,4,3", "3,5,1,6,2,4,8,7,10,9", "4,3,2,1,10,9,8,7,6,5", "10,9,8,7,6,5,4,3,2,1"],
+        }
         packed_avoiders = sweep._packed_avoiders
 
         def flipped(two_n):
@@ -342,7 +347,7 @@ class TestVerifyTheorem:
             return frozenset(packed_avoiders(two_n) ^ words)
 
         monkeypatch.setattr(sweep, "_packed_avoiders", flipped)
-        code, out, _ = run(capsys, "verify-theorem", "--degree", "8")
+        code, out, _ = run(capsys, "verify-theorem", "--degree", "10")
         assert code == 1
         assert out.splitlines() == [
             "degree 2: 1 involutions, 1 rationally smooth, equivalence holds",
@@ -356,9 +361,14 @@ class TestVerifyTheorem:
             "  counterexample 21768435: avoids=True palindromic=False regular=False",
             "  counterexample 34127856: avoids=True palindromic=False regular=False",
             "  counterexample 35162487: avoids=True palindromic=False regular=False",
-            "verify-theorem: MISMATCH (degrees 2..8)",
+            "degree 10: 945 involutions, 320 rationally smooth, 4 MISMATCHES",
+            "  counterexample 2,1,10,9,8,7,6,5,4,3: avoids=False palindromic=True regular=True",
+            "  counterexample 3,5,1,6,2,4,8,7,10,9: avoids=True palindromic=False regular=False",
+            "  counterexample 4,3,2,1,10,9,8,7,6,5: avoids=True palindromic=False regular=False",
+            "  counterexample 10,9,8,7,6,5,4,3,2,1: avoids=False palindromic=True regular=True",
+            "verify-theorem: MISMATCH (degrees 2..10)",
         ]
-        code, data, _ = run_json(capsys, "verify-theorem", "--degree", "8")
+        code, data, _ = run_json(capsys, "verify-theorem", "--degree", "10")
         assert code == 1
         assert data["ok"] is False
         smooth = {"avoids": False, "palindromic": True, "regular": True}
@@ -370,10 +380,14 @@ class TestVerifyTheorem:
                          {"involution": "654321", **smooth}]),
             (8, 105, 68, [{"involution": "21438765", **smooth}, {"involution": "21768435", **singular},
                           {"involution": "34127856", **singular}, {"involution": "35162487", **singular}]),
+            (10, 945, 320, [{"involution": "2,1,10,9,8,7,6,5,4,3", **smooth},
+                            {"involution": "3,5,1,6,2,4,8,7,10,9", **singular},
+                            {"involution": "4,3,2,1,10,9,8,7,6,5", **singular},
+                            {"involution": "10,9,8,7,6,5,4,3,2,1", **smooth}]),
         ]
         assert [list(m) for d in data["degrees"] for m in d["mismatches"]] == [
             ["involution", "avoids", "palindromic", "regular"]
-        ] * 7
+        ] * 11
 
     def test_over_cap_refused(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "--degree", "12")

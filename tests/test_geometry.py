@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from sporbits import geometry
 from sporbits.geometry import (
+    ConsistencyError,
     FlagError,
     FlagMatrix,
     classify_flag,
@@ -20,7 +23,7 @@ from sporbits.geometry import (
     standard_form,
     transform_flag,
 )
-from sporbits.involutions import enumerate_fpf, parse_involution, w0
+from sporbits.involutions import corner_counts, enumerate_fpf, parse_involution, w0
 
 from oracles import corner_rank_grid, fraction_mat_mul, fraction_rank, transvection_product
 
@@ -166,6 +169,40 @@ class TestClassify:
     def test_round_trip_degree_six(self):
         for mu in enumerate_fpf(3):
             assert classify_flag(gram_basis_flag(mu)) == mu
+
+    def test_orbit_grid_equals_fraction_oracle_on_moved_flags(self):
+        # The orbit's grid c_pi must be the rank grid of the flag's pairings,
+        # here by Fraction products with J written out: +1 at (i, 2n+1-i)
+        # for i <= n, -1 below.  Flags are basis flags moved by the oracle's
+        # transvection products, and random flags.
+        rng = random.Random(41)
+        for n in range(1, 5):
+            m = 2 * n
+            form = [[Fraction(0)] * m for _ in range(m)]
+            for i in range(m):
+                form[i][m - 1 - i] = Fraction(1 if i < n else -1)
+            mus = list(enumerate_fpf(n))
+            moved = [
+                (mu, fraction_mat_mul(gram_basis_flag(mu).rows, transvection_product(n, seed, 5)))
+                for mu in (mus if n < 4 else rng.sample(mus, 8))
+                for seed in (1, 2)
+            ]
+            moved += [(None, _random_flag(rng, m).rows) for _ in range(3)]
+            for mu, rows in moved:
+                pi = classify_flag(FlagMatrix(rows))
+                gram = fraction_mat_mul(fraction_mat_mul(rows, form), mat_transpose(rows))
+                assert corner_counts(pi.word, m) == corner_rank_grid(gram), rows
+                assert mu is None or pi == mu
+
+    def test_consistency_guards(self, monkeypatch):
+        flag = _identity_flag(4)
+        monkeypatch.setattr(geometry, "_pivots", lambda rows: [4, None, 2, 1])
+        with pytest.raises(ConsistencyError, match=r"^row 2 of the pairing grid adds no rank$"):
+            classify_flag(flag)
+        monkeypatch.setattr(geometry, "_pivots", lambda rows: [2, 3, 4, 1])
+        message = "recovered map [2, 3, 4, 1] is not a fixed-point-free involution"
+        with pytest.raises(ConsistencyError, match=f"^{re.escape(message)}$"):
+            classify_flag(flag)
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(FlagError, match="singular"):

@@ -16,6 +16,7 @@ from sporbits.involutions import (
     enumerate_words,
     format_involution,
     format_word,
+    fpf_count,
     open_orbit,
     parse_involution,
     rank,
@@ -85,6 +86,10 @@ class TestEnumerate:
     def test_lexicographic_order(self):
         words = [x.word for x in enumerate_fpf(4)]
         assert words == sorted(words)
+        # The enumeration emits this order itself; nothing sorts it afterwards.
+        for n in range(1, 8):
+            words = enumerate_words(n)
+            assert words == sorted(words) and len(set(words)) == fpf_count(n), n
 
     def test_words_and_their_text_match_the_involutions(self):
         for n in range(1, 6):
