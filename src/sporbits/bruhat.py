@@ -153,10 +153,10 @@ class LowerSet(NamedTuple):
     words: list[int]  # packed as in `involutions._pack`
     ranks: list[int]
     above: list[list[int]]  # scan indices of each member's upper covers
-    # Member k's down-conjugates are edges[ends[k - 1]:ends[k]] (from 0 for
-    # k = 0); its conjugates above it are its occurrences in edges.
+    # Member k's down-conjugates are edges[offsets[k]:offsets[k + 1]], with
+    # offsets[0] = 0; its conjugates above it are its occurrences in edges.
     edges: array
-    ends: list[int]
+    offsets: list[int]
 
 
 def _scan(pi: FpfInvolution) -> LowerSet:
@@ -168,7 +168,7 @@ def _scan(pi: FpfInvolution) -> LowerSet:
     above: list[list[int]] = [[]]
     index = {words[0]: 0}
     edges = array("Q")
-    ends: list[int] = []
+    offsets = [0]
     for k, p in enumerate(words):  # grows as members are found
         w = _letters(p, two_n)
         below = ranks[k] - 1
@@ -194,8 +194,8 @@ def _scan(pi: FpfInvolution) -> LowerSet:
                                 above.append([k])
                             else:
                                 above[m].append(k)
-        ends.append(len(edges))
-    return LowerSet(words, ranks, above, edges, ends)
+        offsets.append(len(edges))
+    return LowerSet(words, ranks, above, edges, offsets)
 
 
 def _walk(pi: FpfInvolution) -> LowerSet:

@@ -242,7 +242,7 @@ def cmd_classify(args, cap: int):
     verdict = "skipped (degree beyond cap)" if smooth is None else ("yes" if smooth else "no")
     lines = [f"orbit: {pi}", f"rank: {payload['rank']}", f"rationally smooth: {verdict}"]
     if args.grid:
-        # classify_flag has checked the flag's rank grid equal to pi's grid c_pi.
+        # pi's word is the pivots of the flag's pairing matrix, so c_pi is its rank grid.
         grid = corner_counts(pi.word, pi.degree)
         payload["grid"] = [list(row[1:]) for row in grid[1:]]
         lines = chain(lines, (" ".join(str(x) for x in row) for row in payload["grid"]))

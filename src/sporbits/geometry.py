@@ -3,7 +3,8 @@
 A complete flag is stored as an invertible matrix of rationals whose row i
 spans the i-th step.  The orbit of a flag under the isometry group of the
 standard skew form is read off the ranks of the pairings V_i x V_j: the
-second differences of the rank grid cut out a fixed-point-free involution.
+second differences of the rank grid cut out a fixed-point-free involution,
+and one elimination of the pairing matrix gives it as its pivots.
 All linear algebra is exact; floating point would misclassify
 near-degenerate flags, since rank is discontinuous.
 
@@ -28,8 +29,10 @@ near-degenerate flags, since rank is discontinuous.
   before their pivots and the pivots are distinct; restricted to the first
   j columns, the rows with pivot <= j are independent and the rest vanish.
   So the top-left i x j corner has rank #{k <= i : pivot(k) <= j} for every
-  (i, j) at once: `involutions.corner_counts`, the package's one grid
-  helper, which on pi's word gives the grid c_pi the flag must match.
+  (i, j) at once: `involutions.corner_counts` of the pivots, the grid
+  `rank_grid` returns.  On the pairing matrix of a flag these pivots are
+  the word of pi, so the flag's grid is pi's grid c_pi by construction and
+  `classify_flag` reads pi from the pivots without building a grid.
 """
 
 from __future__ import annotations
@@ -42,9 +45,12 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .involutions import PACKED_MAX_DEGREE, FpfInvolution, InvolutionError, SizeLimitError, corner_counts
+from .involutions import FpfInvolution, InvolutionError, SizeLimitError, corner_counts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+
+# The most rows a flag file may hold.
+MAX_FLAG_ROWS = 16
 
 
 class FlagError(ValueError):
@@ -206,31 +212,17 @@ class FlagMatrix:
 def classify_flag(flag: FlagMatrix) -> FpfInvolution:
     """The involution of the orbit containing the flag.
 
-    Computes the full grid of ranks of V_i x V_j pairings and recovers
-    pi(i) as the first column where row i raises the rank.  The recovered
-    involution is checked against the entire grid before being returned.
+    pi(i) is the pivot of row i of the pairing matrix (F J) F^T reduced top
+    down: the first column where row i raises the rank of the pairings
+    V_i x V_j, so the flag's rank grid is pi's grid c_pi.
     """
-    m = flag.size
-    grid = rank_grid(_gram(_integer_rows(flag.rows)))
-    word = []
-    for i in range(1, m + 1):
-        j = next((jj for jj in range(1, m + 1) if grid[i][jj] > grid[i - 1][jj]), None)
-        if j is None:
-            raise ConsistencyError(f"row {i} of the pairing grid adds no rank")
-        word.append(j)
+    word = _pivots(_gram(_integer_rows(flag.rows)))
+    if None in word:
+        raise ConsistencyError(f"row {word.index(None) + 1} of the pairing grid adds no rank")
     try:
-        pi = FpfInvolution(tuple(word))
+        return FpfInvolution(tuple(word))
     except InvolutionError as exc:
         raise ConsistencyError(f"recovered map {word} is not a fixed-point-free involution") from exc
-    _check_grid(pi, grid)
-    return pi
-
-
-def _check_grid(pi: FpfInvolution, grid: tuple[tuple[int, ...], ...]) -> None:
-    for i, (row, want) in enumerate(zip(grid, corner_counts(pi.word, pi.degree))):
-        for j, (x, y) in enumerate(zip(row, want)):
-            if x != y:
-                raise ConsistencyError(f"rank grid disagrees with {pi} at ({i},{j}): {x} vs {y}")
 
 
 def gram_target(mu: FpfInvolution) -> Matrix:
@@ -326,7 +318,7 @@ def flag_to_json(flag: FlagMatrix) -> str:
 def parse_flag_json(text: str) -> FlagMatrix:
     """Parse a JSON array of arrays; entries may be "p/q" strings or integers.
 
-    More than PACKED_MAX_DEGREE (16) rows is refused with SizeLimitError
+    More than MAX_FLAG_ROWS (16) rows is refused with SizeLimitError
     right after the JSON is read, before any entry is coerced, so the work
     a flag file can ask for is bounded up front, as every degree is.
     """
@@ -334,8 +326,8 @@ def parse_flag_json(text: str) -> FlagMatrix:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FlagError(f"flag file is not valid JSON: {exc}") from exc
-    if isinstance(data, list) and len(data) > PACKED_MAX_DEGREE:
-        raise SizeLimitError(f"flag matrix has {len(data)} rows, more than the cap {PACKED_MAX_DEGREE}")
+    if isinstance(data, list) and len(data) > MAX_FLAG_ROWS:
+        raise SizeLimitError(f"flag matrix has {len(data)} rows, more than the cap {MAX_FLAG_ROWS}")
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise FlagError("flag file must be a JSON array of arrays")
     return FlagMatrix(tuple(map(tuple, data)))

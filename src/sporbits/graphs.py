@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Iterator, Mapping
 
 from .involutions import (
     FpfInvolution,
     InvolutionError,
     Transposition,
+    _first_difference,
     _letters,
     _pack,
     _unpack,
@@ -79,15 +81,14 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
     for k in inside:
         p = lower.words[k]
         w = _letters(p, two_n)
-        for v in lower.edges[lower.ends[k - 1] if k else 0 : lower.ends[k]]:
+        for v in lower.edges[lower.offsets[k] : lower.offsets[k + 1]]:
             if v in vertex:
                 neighbors[p].append(v)
                 neighbors[v].append(p)
                 # v = t*p*t, t = (i, j) with i < x = p(i) < y = p(j), differs from p
                 # at i, j, x and y, first at i, where v(i) = y > x: the word v is
                 # the larger, and the labels are (i, p(y)) and (x, y).
-                shift = (p ^ v).bit_length() - 1 & ~3
-                i, y = two_n - 1 - shift // 4, v >> shift & 15
+                i, y = _first_difference(p, v, two_n)
                 edges.append((p, v, (label[i][w[y]], label[w[i]][y])))
     edges.sort()
     adjacency = {vertex[p]: tuple(vertex[x] for x in sorted(ns)) for p, ns in neighbors.items()}
@@ -128,8 +129,8 @@ def is_regular(top: FpfInvolution) -> bool:
     inside the lower set (its occurrences in the others' edges)."""
     lower = _walk(top)
     up = Counter(lower.edges)
-    starts = [0, *lower.ends]
-    return all(end - start + up[p] == lower.ranks[0] for p, start, end in zip(lower.words, starts, lower.ends))
+    spans = pairwise(lower.offsets)
+    return all(end - start + up[p] == lower.ranks[0] for p, (start, end) in zip(lower.words, spans))
 
 
 @dataclass(frozen=True)

@@ -149,8 +149,7 @@ def enumerate_fpf(n: int) -> tuple[FpfInvolution, ...]:
     >>> [str(p) for p in enumerate_fpf(2)]
     ['2143', '3412', '4321']
     """
-    check_degree(2 * n)
-    return _enumerate_cached(n)
+    return tuple(map(FpfInvolution, enumerate_words(n)))
 
 
 def enumerate_words(n: int) -> list[tuple[int, ...]]:
@@ -175,12 +174,9 @@ def fpf_count(n: int) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int) -> tuple[FpfInvolution, ...]:
-    return tuple(FpfInvolution(w) for w in _words(n))
-
-
 def _words(n: int) -> list[tuple[int, ...]]:
+    # Every position before the first free one a is filled, and w(a) = d
+    # rises through the loop, so the words come out in lexicographic order.
     words: list[tuple[int, ...]] = []
     word = [0] * (2 * n)
 
@@ -195,7 +191,6 @@ def _words(n: int) -> list[tuple[int, ...]]:
             fill(free[1:k] + free[k + 1 :])
 
     fill(list(range(1, 2 * n + 1)))
-    words.sort()
     return words
 
 
@@ -262,7 +257,8 @@ def conjugate(pi: FpfInvolution, t: Transposition) -> FpfInvolution:
 
 # Packed words: letter k of a word (0-based) is the nibble at bit 4*(2n-1-k)
 # and holds w(k+1) - 1, so comparing the ints compares the words
-# lexicographically.  Four bits per letter hold at most 16 letters.
+# lexicographically.  Four bits per letter hold at most 16 letters.  No
+# other module reads this layout.
 PACKED_MAX_DEGREE = 16
 if DEFAULT_MAX_DEGREE > PACKED_MAX_DEGREE:
     raise ImportError(f"degree cap {DEFAULT_MAX_DEGREE} exceeds {PACKED_MAX_DEGREE}, the most a packed word holds")
@@ -285,6 +281,12 @@ def _letters(p: int, two_n: int) -> bytes:
 
 def _unpack(p: int, two_n: int) -> tuple[int, ...]:
     return tuple(format(p, f"0{two_n}x").encode().translate(_ONE_BASED))
+
+
+def _first_difference(p: int, v: int, two_n: int) -> tuple[int, int]:
+    """The first position where the packed words p != v differ, and v's letter there (both 0-based)."""
+    shift = (p ^ v).bit_length() - 1 & ~3
+    return two_n - 1 - shift // 4, v >> shift & 15
 
 
 @lru_cache(maxsize=None)

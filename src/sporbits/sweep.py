@@ -76,10 +76,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import zip_longest
+from itertools import pairwise, zip_longest
 
 from .bruhat import _scan
-from .involutions import FpfInvolution, _pack, _unpack, check_degree, open_orbit
+from .involutions import FpfInvolution, _pack, _unpack, check_degree, format_word, open_orbit
 from .patterns import avoiders
 
 
@@ -134,7 +134,7 @@ def poset_tables(two_n: int) -> PosetTables:
 
 def _build_tables(two_n: int) -> PosetTables:
     lower = _scan(open_orbit(two_n // 2))
-    ranks, ends = lower.ranks, lower.ends
+    ranks = lower.ranks
     sizes = Counter(ranks)
     levels = []
     stop = len(ranks)  # the scan meets the ranks in descending order
@@ -145,7 +145,7 @@ def _build_tables(two_n: int) -> PosetTables:
         two_n,
         lower.words,
         ranks,
-        [end - start for start, end in zip([0, *ends], ends)],
+        [end - start for start, end in pairwise(lower.offsets)],
         lower.above,
         tuple(levels),
         ConjugationPairs(2 * len(lower.edges)),
@@ -266,17 +266,6 @@ class OrbitSurveyRow:
         return self.avoids == self.palindromic == self.regular
 
 
-# Packed word -> one-line text as `format_involution` writes it.  A packed
-# word's first nibble is w(1) - 1 > 0, so `format(p, "x")` has all 2n digits.
-_PLAIN_TEXT = str.maketrans("012345678", "123456789")
-_COMMA_TEXT = str.maketrans({h: f",{v}" for v, h in enumerate("0123456789abcdef", start=1)})
-
-
-def _flags(mask: int, size: int) -> str:
-    """Character m is "1" exactly when bit m of mask is set, for m < size."""
-    return format(mask, f"0{size}b")[::-1]
-
-
 def _members(mask: int):
     """Yield the indices of the set bits of mask, ascending."""
     flags = format(mask, "b")[::-1]
@@ -317,14 +306,12 @@ class TheoremSurvey:
 
     def _rows(self, mask: int) -> tuple[OrbitSurveyRow, ...]:
         """The rows of the set bits of mask, in word order."""
-        packed, ranks, plain = self.tables.packed, self.tables.ranks, self.tables.two_n <= 9
-        verdicts = [_flags(v, self.count) for v in (self.avoids, self.palindromic, self.regular)]
-        rows = []
-        for m in sorted(_members(mask), key=packed.__getitem__):
-            hex_word = format(packed[m], "x")
-            word = hex_word.translate(_PLAIN_TEXT) if plain else hex_word.translate(_COMMA_TEXT)[1:]
-            rows.append(OrbitSurveyRow(word, ranks[m], *(v[m] == "1" for v in verdicts)))
-        return tuple(rows)
+        packed, ranks, two_n = self.tables.packed, self.tables.ranks, self.tables.two_n
+        verdicts = self.avoids, self.palindromic, self.regular
+        return tuple(
+            OrbitSurveyRow(format_word(_unpack(packed[m], two_n)), ranks[m], *(bool(v >> m & 1) for v in verdicts))
+            for m in sorted(_members(mask), key=packed.__getitem__)
+        )
 
 
 def theorem_survey(two_n: int) -> TheoremSurvey:

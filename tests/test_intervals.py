@@ -137,8 +137,8 @@ def check_interval(pi):
     # each member's down-edges are its down-conjugates, each once
     lower = _walk(FpfInvolution(pi))
     words = [_unpack(p, len(pi)) for p in lower.words]
-    starts = [0, *lower.ends[:-1]]
-    down = {mu: [_unpack(v, len(pi)) for v in lower.edges[a:b]] for mu, a, b in zip(words, starts, lower.ends)}
+    offsets = lower.offsets
+    down = {mu: [_unpack(v, len(pi)) for v in lower.edges[offsets[k] : offsets[k + 1]]] for k, mu in enumerate(words)}
     assert all(sorted(vs) == sorted(conjugates_below(mu)) for mu, vs in down.items())
     # scan order is descending rank, and each member's upper covers are the
     # members with it among their down-conjugates, one rank higher

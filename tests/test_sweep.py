@@ -254,12 +254,10 @@ def test_up_degree_at_least_rank_gap_over_every_pair(two_n):
     assert len(at) == len(words)
     rank_of = np.zeros(len(words))
     up = np.zeros((len(words), len(words)))  # up[m, v]: v is a conjugate above m
-    start = 0
-    for p, r, end in zip(lower.words, lower.ranks, lower.ends):
+    for k, (p, r) in enumerate(zip(lower.words, lower.ranks)):
         rank_of[at[p]] = r
-        for v in lower.edges[start:end]:
+        for v in lower.edges[lower.offsets[k] : lower.offsets[k + 1]]:
             up[at[v], at[p]] = 1
-        start = end
     if two_n <= 8:
         leq = np.array([[oracles.reverse_below(mu, pi) for pi in words] for mu in words])
     else:
