@@ -29,7 +29,8 @@ the lower set.
 
 The scan runs on packed words, 4 bits per letter, so a step is one XOR of
 an int; `check_degree` keeps every scan to a degree a packed word holds.
-`FpfInvolution` objects are built only for what `interval` returns.
+`FpfInvolution` objects are built only for what is returned: the members
+of `interval`, and in `graphs` the singular locus and a graph's vertices.
 `_walk` keeps the last lower set, so one `analyze` query scans once; the
 sweep of `sweep` scans the open orbit and keeps nothing here.
 The rank polynomial is the histogram of ranks over the interval.  For
@@ -198,14 +199,12 @@ def _scan(pi: FpfInvolution) -> LowerSet:
     return LowerSet(words, ranks, above, edges, offsets)
 
 
+@lru_cache(maxsize=1)
 def _walk(pi: FpfInvolution) -> LowerSet:
     """The lower set of pi, refused up front beyond the degree cap.  The last
     one is kept for the next query; callers must not modify it."""
     check_degree(pi.degree)
-    return _walk_from(pi)
-
-
-_walk_from = lru_cache(maxsize=1)(_scan)
+    return _scan(pi)
 
 
 def rank_poly(pi: FpfInvolution) -> RankPolynomial:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import cache
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -243,7 +243,7 @@ def cmd_classify(args, cap: int):
     lines = [f"orbit: {pi}", f"rank: {payload['rank']}", f"rationally smooth: {verdict}"]
     if args.grid:
         # pi's word is the pivots of the flag's pairing matrix, so c_pi is its rank grid.
-        grid = corner_counts(pi.word, pi.degree)
+        grid = corner_counts(pi.word)
         payload["grid"] = [list(row[1:]) for row in grid[1:]]
         lines = chain(lines, (" ".join(str(x) for x in row) for row in payload["grid"]))
     return EXIT_OK, payload, lines
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@lru_cache(maxsize=1)
+@cache
 def _parser() -> argparse.ArgumentParser:
     # Building the parser costs about as much as a small query, and its
     # garbage as much as the query's own, so one process builds it once.

@@ -162,8 +162,11 @@ def matrix_rank(m: Matrix) -> int:
 
 
 def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
-    """grid[i][j] = rank of the top-left i x j corner, for 0 <= i, j <= size."""
-    return corner_counts(_pivots(_integer_rows(m)), len(m))
+    """grid[i][j] = rank of the top-left i x j corner of a square matrix, for 0 <= i, j <= size."""
+    for i, row in enumerate(m, start=1):
+        if len(row) != len(m):
+            raise FlagError(f"rank grid needs a square matrix: row {i} has {len(row)} entries, expected {len(m)}")
+    return corner_counts(_pivots(_integer_rows(m)))
 
 
 def _rational(x, i: int, j: int) -> Fraction:

@@ -13,12 +13,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 # The largest degree any walk, enumeration or sweep covers: 135 135
-# involutions.  A fresh `verify-theorem --degree 14` takes about 8 s and
-# 290 MB (2 cores, Python 3.11): the cover scan about 2 s and 85 MB, the
+# involutions.  A fresh `verify-theorem --degree 14` takes 6-7.5 s and about
+# 250 MB (2 cores, Python 3.11): the cover scan about 2 s and 85 MB, the
 # survey's up-sets and counters the rest.  2n = 16 has 2 027 025.
 DEFAULT_MAX_DEGREE = 14
 
@@ -159,22 +159,6 @@ def enumerate_words(n: int) -> list[tuple[int, ...]]:
     [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     """
     check_degree(2 * n)
-    return _words(n)
-
-
-def fpf_count(n: int) -> int:
-    """(2n-1)!!, the number of fixed-point-free involutions of {1, ..., 2n}.
-
-    >>> fpf_count(7)
-    135135
-    """
-    count = 1
-    for k in range(3, 2 * n, 2):
-        count *= k
-    return count
-
-
-def _words(n: int) -> list[tuple[int, ...]]:
     # Every position before the first free one a is filled, and w(a) = d
     # rises through the loop, so the words come out in lexicographic order.
     words: list[tuple[int, ...]] = []
@@ -192,6 +176,18 @@ def _words(n: int) -> list[tuple[int, ...]]:
 
     fill(list(range(1, 2 * n + 1)))
     return words
+
+
+def fpf_count(n: int) -> int:
+    """(2n-1)!!, the number of fixed-point-free involutions of {1, ..., 2n}.
+
+    >>> fpf_count(7)
+    135135
+    """
+    count = 1
+    for k in range(3, 2 * n, 2):
+        count *= k
+    return count
 
 
 @lru_cache(maxsize=1 << 18)
@@ -215,21 +211,21 @@ def rank(pi: FpfInvolution) -> int:
     return pi.n * pi.n - total
 
 
-def corner_counts(columns: Sequence[int | None], size: int) -> tuple[tuple[int, ...], ...]:
-    """grid[i][j] = #{k <= i : columns[k-1] <= j}, for 0 <= i, j <= size.
+def corner_counts(columns: Sequence[int | None]) -> tuple[tuple[int, ...], ...]:
+    """grid[i][j] = #{k <= i : columns[k-1] <= j}, for 0 <= i, j <= len(columns).
 
     On the word of an involution pi this is pi's grid c_pi, and mu <= pi in
     reverse order iff c_pi >= c_mu at every corner.  On the pivot columns
     of a reduced matrix it is the rank grid.  A None column counts nowhere.
 
-    >>> corner_counts((2, None), 2), corner_counts((2, 1), 2)[2]
+    >>> corner_counts((2, None)), corner_counts((2, 1))[2]
     (((0, 0, 0), (0, 0, 1), (0, 0, 1)), (0, 1, 2))
     """
-    count = [0] * (size + 1)
+    count = [0] * (len(columns) + 1)
     grid = [tuple(count)]
     for c in columns:
         if c is not None:
-            for j in range(c, size + 1):
+            for j in range(c, len(count)):
                 count[j] += 1
         grid.append(tuple(count))
     return tuple(grid)
@@ -289,7 +285,7 @@ def _first_difference(p: int, v: int, two_n: int) -> tuple[int, int]:
     return two_n - 1 - shift // 4, v >> shift & 15
 
 
-@lru_cache(maxsize=None)
+@cache
 def _conjugation_masks(two_n: int) -> tuple:
     """XOR masks of packed conjugation, indexed [i][x][j][y] (all 0-based).
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 from .involutions import FpfInvolution, InvolutionError, _delete_arc, check_degree
 
@@ -229,9 +230,7 @@ def avoids_all_bad(host: FpfInvolution) -> bool:
     return bad_pattern_witness(host) is None
 
 
-_AVOIDERS: dict[int, frozenset[tuple[int, ...]]] = {2: frozenset({(2, 1)})}
-
-
+@cache
 def avoiders(two_n: int) -> frozenset[tuple[int, ...]]:
     """The words of degree two_n that contain none of the 17 obstruction patterns.
 
@@ -248,19 +247,16 @@ def avoiders(two_n: int) -> frozenset[tuple[int, ...]]:
     >>> sorted(avoiders(4))
     [(2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1)]
     """
-    found = _AVOIDERS.get(two_n)
-    if found is not None:
-        return found
     check_degree(two_n, AVOIDERS_MAX_DEGREE)
+    if two_n == 2:
+        return frozenset({(2, 1)})
     below = avoiders(two_n - 2)
     bad = {pat.word for pat in BAD_PATTERNS}
-    found = frozenset(
+    return frozenset(
         v
         for v in _first_arc_insertions(below, two_n)
         if v not in bad and all(u in below for u in _other_arc_deletions(v))
     )
-    _AVOIDERS[two_n] = found
-    return found
 
 
 def _first_arc_insertions(words: frozenset[tuple[int, ...]], two_n: int):

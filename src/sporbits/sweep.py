@@ -59,24 +59,24 @@ h_k(pi) = #{mu of rank k : mu <= pi}.  The columns:
   built by arc insertion, packed once per degree; `avoids_all_bad` stays
   the per-element path.
 
-Each column is one mask over the scan indices: every rank's window result
-is shifted to the start of its range and ORed in, and the avoids mask is
-built once per survey by one pass over the words.  `theorem_survey`
-returns the three masks as a `TheoremSurvey`: its count, its smooth count
-(the palindromic popcount) and its mismatches (rows only where the masks
+Each column is one mask over the scan indices: the counters are compared
+where they sit, each rank keeping the result under the mask of its range,
+and the avoids mask is one pass over the words.  `theorem_survey` returns
+the three masks as a `TheoremSurvey`: its count, its smooth count (the
+palindromic popcount) and its mismatches (rows only where the masks
 disagree, in word order) are all `verify-theorem` reads; the row of every
 element, in word order, is built only when `rows` is read.
 
-No order matrix is stored.  The tables of a degree (words, ranks, upper
-covers) are memoized; every survey rebuilds the up-sets and counters.
+No order matrix is stored.  `poset_tables` caches the words, ranks and upper
+covers of each degree; every survey rebuilds the up-sets and counters.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import pairwise, zip_longest
+from functools import cache, cached_property, reduce
+from itertools import accumulate, pairwise, zip_longest
 
 from .bruhat import _scan
 from .involutions import FpfInvolution, _pack, _unpack, check_degree, format_word, open_orbit
@@ -115,39 +115,26 @@ class PosetTables:
         return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.packed)
 
 
-_TABLES: dict[int, PosetTables] = {}
-
-
+@cache
 def poset_tables(two_n: int) -> PosetTables:
     """Words, ranks and upper covers of one degree, built once per process.
 
     A degree beyond `involutions.DEFAULT_MAX_DEGREE` is refused before any scan.
     """
-    cached = _TABLES.get(two_n)
-    if cached is not None:
-        return cached
     check_degree(two_n)
-    tables = _build_tables(two_n)
-    _TABLES[two_n] = tables
-    return tables
-
-
-def _build_tables(two_n: int) -> PosetTables:
     lower = _scan(open_orbit(two_n // 2))
     ranks = lower.ranks
     sizes = Counter(ranks)
-    levels = []
-    stop = len(ranks)  # the scan meets the ranks in descending order
-    for r in range(ranks[0] + 1):
-        levels.append(range(stop - sizes[r], stop))
-        stop -= sizes[r]
+    # below[r] elements have rank < r; the scan meets them last, as it descends.
+    below = list(accumulate((sizes[r] for r in range(ranks[0] + 1)), initial=0))
+    levels = tuple(range(len(ranks) - b, len(ranks) - a) for a, b in pairwise(below))
     return PosetTables(
         two_n,
         lower.words,
         ranks,
         [end - start for start, end in pairwise(lower.offsets)],
         lower.above,
-        tuple(levels),
+        levels,
         ConjugationPairs(2 * len(lower.edges)),
     )
 
@@ -219,11 +206,6 @@ def _differ(x: list[int], y: list[int]) -> int:
     return diff
 
 
-def _window(planes: list[int], lo: int, mask: int) -> list[int]:
-    """The counter read at bits lo, lo + 1, ... under mask, shifted down to bit 0."""
-    return [plane >> lo & mask for plane in planes]
-
-
 def _columns(tables: PosetTables) -> tuple[int, int]:
     """The masks of the palindromic and of the regular elements, bit m for scan index m."""
     ranks, down_degree, levels = tables.ranks, tables.down_degree, tables.levels
@@ -236,17 +218,14 @@ def _columns(tables: PosetTables) -> tuple[int, int]:
     for (k, d), planes in counters.items():
         hist[k] = _add(hist[k], planes)
         weighted = _add(weighted, _times(planes, d + k))
-    total: list[int] = []  # T
-    for planes in hist:
-        total = _add(total, planes)
+    total = reduce(_add, hist, [])  # T
 
     asymmetric = irregular = 0
     for r, level in enumerate(levels):
-        lo, mask = level.start, (1 << len(level)) - 1
-        near = [_window(hist[k], lo, mask) for k in range(r + 1)]
+        at_r = (1 << len(level)) - 1 << level.start
         for k in range(r // 2 + 1):
-            asymmetric |= _differ(near[k], near[r - k]) << lo
-        irregular |= _differ(_window(weighted, lo, mask), _times(_window(total, lo, mask), r)) << lo
+            asymmetric |= _differ(hist[k], hist[r - k]) & at_r
+        irregular |= _differ(weighted, _times(total, r)) & at_r
     everything = (1 << len(ranks)) - 1
     return everything ^ asymmetric, everything ^ irregular
 
@@ -305,11 +284,13 @@ class TheoremSurvey:
         return self._rows((1 << self.count) - 1)
 
     def _rows(self, mask: int) -> tuple[OrbitSurveyRow, ...]:
-        """The rows of the set bits of mask, in word order."""
+        """The rows of the set bits of mask, in word order; each verdict mask is read as one bit string."""
+        if not mask:
+            return ()
         packed, ranks, two_n = self.tables.packed, self.tables.ranks, self.tables.two_n
-        verdicts = self.avoids, self.palindromic, self.regular
+        verdicts = [format(v, f"0{self.count}b")[::-1] for v in (self.avoids, self.palindromic, self.regular)]
         return tuple(
-            OrbitSurveyRow(format_word(_unpack(packed[m], two_n)), ranks[m], *(bool(v >> m & 1) for v in verdicts))
+            OrbitSurveyRow(format_word(_unpack(packed[m], two_n)), ranks[m], *(v[m] == "1" for v in verdicts))
             for m in sorted(_members(mask), key=packed.__getitem__)
         )
 
@@ -322,6 +303,6 @@ def theorem_survey(two_n: int) -> TheoremSurvey:
     return TheoremSurvey(tables, avoids, *_columns(tables))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _packed_avoiders(two_n: int) -> frozenset[int]:
     return frozenset(map(_pack, avoiders(two_n)))

@@ -63,6 +63,16 @@ class TestStandardForm:
 
 
 class TestRankGrid:
+    def test_refuses_non_square(self):
+        # A 1x2 matrix once got a 2x2 grid without its second column (its
+        # rank is 1), and a 2x1 matrix a 3x3 grid.
+        zero, one = Fraction(0), Fraction(1)
+        assert matrix_rank(((zero, one),)) == 1
+        with pytest.raises(FlagError, match=r"^rank grid needs a square matrix: row 1 has 2 entries, expected 1$"):
+            rank_grid(((zero, one),))
+        with pytest.raises(FlagError, match=r"^rank grid needs a square matrix: row 1 has 1 entries, expected 2$"):
+            rank_grid(((one,), (zero,)))
+
     def test_matches_plain_elimination(self):
         rng = random.Random(7)
         for m in (4, 6):
@@ -191,7 +201,7 @@ class TestClassify:
             for mu, rows in moved:
                 pi = classify_flag(FlagMatrix(rows))
                 gram = fraction_mat_mul(fraction_mat_mul(rows, form), mat_transpose(rows))
-                assert corner_counts(pi.word, m) == corner_rank_grid(gram), rows
+                assert corner_counts(pi.word) == corner_rank_grid(gram), rows
                 assert mu is None or pi == mu
 
     def test_consistency_guards(self, monkeypatch):

@@ -27,6 +27,7 @@ from sporbits.involutions import (
     _unpack,
     conjugate,
     open_orbit,
+    parse_involution,
     rank,
     w0,
 )
@@ -175,6 +176,18 @@ def test_interval_keeps_the_degree_cap():
         rank_poly(w0(8))
 
 
+def test_refused_degree_keeps_the_last_walk():
+    # A refusal raises inside `_walk`: it counts as a miss but stores
+    # nothing, so the lower set kept before it is the next query's hit.
+    bruhat._walk.cache_clear()
+    rank_poly(parse_involution("351624"))
+    with pytest.raises(SizeLimitError, match="cap 14"):
+        rank_poly(w0(8))
+    rank_poly(parse_involution("351624"))
+    info = bruhat._walk.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
+
+
 def test_walk_refuses_what_a_packed_word_cannot_hold():
     # Letters 17 and 18 would spill into the next nibble.  The bottom's walk
     # is one step, so a missing refusal fails here instead of running long.
@@ -187,9 +200,9 @@ def test_walk_refuses_what_a_packed_word_cannot_hold():
 
 
 def test_analyze_walks_once(capsys):
-    bruhat._walk_from.cache_clear()
+    bruhat._walk.cache_clear()
     assert cli.main(["analyze", "351624"]) == 0
-    info = bruhat._walk_from.cache_info()
+    info = bruhat._walk.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert "maximal singular orbits: 564312" in capsys.readouterr().out
 

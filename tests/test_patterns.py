@@ -273,6 +273,14 @@ class TestAvoiders:
         with pytest.raises(SizeLimitError, match="exceeds the cap 16"):
             avoiders(18)
 
+    def test_refused_degree_is_not_cached(self):
+        avoiders(6)
+        currsize = avoiders.cache_info().currsize
+        for two_n, error in ((18, SizeLimitError), (0, InvolutionError)):
+            with pytest.raises(error):
+                avoiders(two_n)
+            assert avoiders.cache_info().currsize == currsize, two_n
+
 
 class TestCertificate:
     def test_full_witness_reverses(self):

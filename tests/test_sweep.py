@@ -211,9 +211,9 @@ class TestSurvey:
                 assert row.avoids == avoids_all_bad(pi)
 
     def test_warm_tables_give_the_same_rows(self):
-        sweep._TABLES.pop(8, None)
+        sweep.poset_tables.cache_clear()
         cold = sweep.theorem_survey(8).rows
-        assert 8 in sweep._TABLES
+        assert sweep.poset_tables.cache_info().currsize == 1
         assert sweep.theorem_survey(8).rows == cold
 
     def test_smooth_counts(self):
@@ -283,18 +283,18 @@ def test_full_sweep_at_fourteen():
 
 
 def test_sweep_leaves_no_walk_kept(capsys):
-    bruhat._walk_from.cache_clear()
-    sweep._TABLES.pop(8, None)
+    bruhat._walk.cache_clear()
+    sweep.poset_tables.cache_clear()
     sweep.poset_tables(8)
-    assert bruhat._walk_from.cache_info().currsize == 0
+    assert bruhat._walk.cache_info().currsize == 0
     # The walk an analyze query keeps survives a sweep built after it.
     assert cli.main(["analyze", "351624"]) == 0
-    info = bruhat._walk_from.cache_info()
+    info = bruhat._walk.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    sweep._TABLES.pop(8, None)
+    sweep.poset_tables.cache_clear()
     sweep.poset_tables(8)
     rank_poly(parse_involution("351624"))
-    info = bruhat._walk_from.cache_info()
+    info = bruhat._walk.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     assert "maximal singular orbits: 564312" in capsys.readouterr().out
 
@@ -304,9 +304,10 @@ def test_over_cap_degree_refused_before_walk(monkeypatch):
         raise AssertionError("the size check must come before the scan")
 
     monkeypatch.setattr(sweep, "_scan", no_scan)
+    currsize = sweep.poset_tables.cache_info().currsize
     with pytest.raises(SizeLimitError, match="2027025 involutions"):
         sweep.poset_tables(16)
-    assert 16 not in sweep._TABLES
+    assert sweep.poset_tables.cache_info().currsize == currsize
 
 
 def test_sweep_loads_no_numpy():
