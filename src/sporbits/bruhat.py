@@ -81,10 +81,6 @@ class RankPolynomial:
         if not c or c[0] != 1 or c[-1] != 1 or any(x < 0 for x in c):
             raise ValueError(f"not a valid rank polynomial: {c}")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def to_json(self) -> list[int]:
         return list(self.coeffs)
 
@@ -213,12 +209,9 @@ def rank_poly(pi: FpfInvolution) -> RankPolynomial:
     return RankPolynomial(tuple(hist[r] for r in range(rank(pi) + 1)))
 
 
-def is_palindromic(poly: RankPolynomial | Sequence[int]) -> bool:
+def is_palindromic(poly: RankPolynomial) -> bool:
     """True iff the coefficient sequence reads the same reversed."""
-    coeffs = tuple(poly.coeffs if isinstance(poly, RankPolynomial) else poly)
-    if not coeffs:
-        raise ValueError("empty coefficient sequence")
-    return coeffs == coeffs[::-1]
+    return poly.coeffs == poly.coeffs[::-1]
 
 
 def is_rationally_smooth(pi: FpfInvolution) -> bool:

@@ -64,41 +64,29 @@ class ConsistencyError(RuntimeError):
 def standard_form(n: int) -> Matrix:
     """The fixed skew form J: +1 at (i, 2n+1-i) for i <= n, -1 below, 0 elsewhere.
 
+    Row i is e_i J, so `_times_form` alone holds the signs.
+
     >>> [[int(x) for x in row] for row in standard_form(1)]
     [[0, 1], [-1, 0]]
     """
     if n < 1:
         raise FlagError(f"half-degree must be at least 1, got {n}")
     m = 2 * n
-    rows = []
-    for i in range(1, m + 1):
-        row = [Fraction(0)] * m
-        j = m + 1 - i
-        row[j - 1] = Fraction(1) if i < j else Fraction(-1)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def identity_matrix(m: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(m)) for i in range(m)
-    )
+    return tuple(tuple(map(Fraction, _times_form([int(i == j) for j in range(m)]))) for i in range(m))
 
 
 def _scaled(rows) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators, as ints, and those lcms."""
+    """Each row times the lcm of its denominators, as ints, and those lcms.
+
+    Row scaling by positive integers preserves the rank of every leading
+    corner, so clearing denominators rowwise is safe.
+    """
     ints, scales = [], []
     for row in rows:
         scale = lcm(*(x.denominator for x in row))
         ints.append([x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
     return ints, scales
-
-
-def _integer_rows(m) -> list[list[int]]:
-    # Row scaling by positive integers preserves the rank of every leading
-    # corner, so clearing denominators rowwise is safe.
-    return _scaled(m)[0]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -110,10 +98,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         tuple(Fraction(sum(map(mul, row, col)), rs * cs) for col, cs in zip(cols, col_scales))
         for row, rs in zip(rows, row_scales)
     )
-
-
-def mat_transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
 
 
 def _times_form(row: list[int]) -> list[int]:
@@ -158,7 +142,7 @@ def _pivots(rows: list[list[int]]) -> list[int | None]:
 
 
 def matrix_rank(m: Matrix) -> int:
-    return sum(p is not None for p in _pivots(_integer_rows(m)))
+    return sum(p is not None for p in _pivots(_scaled(m)[0]))
 
 
 def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -166,7 +150,7 @@ def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
     for i, row in enumerate(m, start=1):
         if len(row) != len(m):
             raise FlagError(f"rank grid needs a square matrix: row {i} has {len(row)} entries, expected {len(m)}")
-    return corner_counts(_pivots(_integer_rows(m)))
+    return corner_counts(_pivots(_scaled(m)[0]))
 
 
 def _rational(x, i: int, j: int) -> Fraction:
@@ -203,14 +187,6 @@ class FlagMatrix:
         if r != size:
             raise FlagError(f"matrix is singular: rank {r} of {size}")
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows) // 2
-
 
 def classify_flag(flag: FlagMatrix) -> FpfInvolution:
     """The involution of the orbit containing the flag.
@@ -219,7 +195,7 @@ def classify_flag(flag: FlagMatrix) -> FpfInvolution:
     down: the first column where row i raises the rank of the pairings
     V_i x V_j, so the flag's rank grid is pi's grid c_pi.
     """
-    word = _pivots(_gram(_integer_rows(flag.rows)))
+    word = _pivots(_gram(_scaled(flag.rows)[0]))
     if None in word:
         raise ConsistencyError(f"row {word.index(None) + 1} of the pairing grid adds no rank")
     try:

@@ -249,11 +249,6 @@ def dot_lines(g: BruhatGraph) -> Iterator[str]:
     yield "}"
 
 
-def to_dot(g: BruhatGraph) -> str:
-    """The lines of `dot_lines` as one string."""
-    return "".join(line + "\n" for line in dot_lines(g))
-
-
 def graph_to_json(g: BruhatGraph) -> dict:
     """JSON form mirroring the DOT export."""
     names = {v: str(v) for v in g.vertices}

@@ -39,7 +39,7 @@ class Transposition:
     d: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.a, int) and isinstance(self.d, int) and 1 <= self.a < self.d):
+        if not (type(self.a) is int and type(self.d) is int and 1 <= self.a < self.d):
             raise InvolutionError(f"transposition needs integers 1 <= a < d, got ({self.a}, {self.d})")
 
     @property
@@ -76,6 +76,9 @@ class FpfInvolution:
         if set(w) != set(range(1, m + 1)):
             raise InvolutionError(f"word is not a permutation of 1..{m}: {w}")
         for i, v in enumerate(w, start=1):
+            # True == 1 and 2.0 == 2 pass the set test above: letters are ints only.
+            if type(v) is not int:
+                raise InvolutionError(f"letter {v!r} at position {i} is not an integer")
             if v == i:
                 raise InvolutionError(f"fixed point at position {i}")
             if w[v - 1] != i:
@@ -98,7 +101,7 @@ class FpfInvolution:
         return self.word[t.a - 1] == t.d
 
     def __str__(self) -> str:
-        return format_involution(self)
+        return format_word(self.word)
 
 
 def w0(n: int) -> FpfInvolution:
@@ -116,11 +119,6 @@ def open_orbit(n: int) -> FpfInvolution:
     for k in range(1, 2 * n, 2):
         word += [k + 1, k]
     return FpfInvolution(tuple(word))
-
-
-def all_transpositions(two_n: int) -> tuple[Transposition, ...]:
-    """All C(2n, 2) transpositions of {1, ..., 2n} in lexicographic order."""
-    return tuple(Transposition(a, d) for a in range(1, two_n) for d in range(a + 1, two_n + 1))
 
 
 def check_degree(two_n: int, cap: int = DEFAULT_MAX_DEGREE, what: str = "degree") -> None:
@@ -353,10 +351,6 @@ def _delete_arc(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
     return tuple([v - (v > a) - (v > d) for v in word if v != a and v != d])
 
 
-def format_involution(pi: FpfInvolution) -> str:
-    return format_word(pi.word)
-
-
 def format_word(word: tuple[int, ...]) -> str:
     """One-line text of a word: plain digits up to 9 letters, else comma-separated."""
     return ("" if len(word) <= 9 else ",").join(map(str, word))
@@ -371,16 +365,14 @@ def parse_involution(text: str) -> FpfInvolution:
     s = text.strip()
     if not s:
         raise InvolutionError("empty involution text")
-    if "," in s:
-        word = []
-        for pos, part in enumerate(s.split(","), start=1):
+    # Comma form: one integer per entry; otherwise one digit per position.
+    comma = "," in s
+    word = []
+    for pos, part in enumerate(s.split(",") if comma else s, start=1):
+        if comma:
             part = part.strip()
-            if not (part.isascii() and part.isdigit()):
-                raise InvolutionError(f"bad integer {part!r} at entry {pos}")
-            word.append(int(part))
-    else:
-        for pos, ch in enumerate(s, start=1):
-            if not (ch.isascii() and ch.isdigit()):
-                raise InvolutionError(f"unexpected character {ch!r} at position {pos}")
-        word = [int(ch) for ch in s]
+        if not (part.isascii() and part.isdigit()):
+            what = "bad integer" if comma else "unexpected character"
+            raise InvolutionError(f"{what} {part!r} at {'entry' if comma else 'position'} {pos}")
+        word.append(int(part))
     return FpfInvolution(tuple(word))

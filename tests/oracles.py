@@ -200,6 +200,16 @@ def fraction_mat_mul(a, b) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+def transpose(m) -> tuple[tuple[Fraction, ...], ...]:
+    """The transpose of a matrix given as rows."""
+    return tuple(zip(*m))
+
+
+def identity(m: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The m x m identity matrix over Fraction."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(m)) for i in range(m))
+
+
 def _prefix_ranks(vectors: list[list[int]]) -> list[int]:
     """Ranks of the spans of growing prefixes of a list of integer vectors."""
     pivots: list[tuple[list[int], int]] = []

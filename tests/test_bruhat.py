@@ -142,9 +142,9 @@ class TestRankPoly:
         assert not is_palindromic(rank_poly(p("351624")))
 
     def test_palindromic(self):
-        assert is_palindromic([1])
-        assert is_palindromic([1, 1, 1])
-        assert not is_palindromic([1, 2, 1, 1])
+        assert is_palindromic(RankPolynomial((1,)))
+        assert is_palindromic(RankPolynomial((1, 1, 1)))
+        assert not is_palindromic(RankPolynomial((1, 2, 1, 1)))
         assert is_palindromic(RankPolynomial((1, 2, 1)))
 
     def test_smoothness(self):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -431,6 +432,18 @@ class TestVerifyTheorem:
         assert "unrecognized arguments: --max-degree-override" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["rank", "order"])
+def test_word_cap_refuses_before_the_quadratic_work(capsys, command):
+    # Both commands are quadratic in the word length, so 8192 letters is their cap.
+    bottom = ",".join(map(str, range(8194, 0, -1)))
+    argv = [command, bottom] if command == "rank" else [command, bottom, bottom]
+    start = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (3, "")
+    assert "degree 8194 exceeds the cap 8192" in err
+
+
 def test_module_entry_point_in_a_process():
     # Every other test calls main() in-process; this runs `python -m sporbits.cli`.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -463,7 +476,8 @@ print(proc.returncode, usage.ru_maxrss)
 
 @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
 def test_order_at_eight_thousand_letters_stays_small():
-    # `order` has no degree cap; the order test must run in O(n) memory.
+    # 8000 letters lies under the 8192-letter cap of `order`; the order test
+    # must run in O(n) memory.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     bottom = ",".join(map(str, range(8000, 0, -1)))

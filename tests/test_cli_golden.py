@@ -51,6 +51,8 @@ CASES = {
     "avoid": (["avoid", "47513826"], 0, "e7ea55539e1158a7af0a92c718bad2173e587ab6b416c6483346a8f0b63bc956"),
     "avoid-json": (["avoid", "21436587", "--output", "json"], 0, "ccb0f9733582d2b4fd193bc1c26b39ae4af1c1470ae1c7f75f3aa85a797986ba"),
     "analyze": (["analyze", "47513826"], 0, "4fd0ef9842dca2633eddca13bc2627bfadb7f5383f1747e16a92fd3d5d95567e"),
+    # An avoider: the only run of the "bad pattern: none" and empty-locus lines.
+    "analyze-avoider": (["analyze", "21436587"], 0, "5ad42aa74ce5e93cd1b809043c56b7fa5ce711c7e49b9055f7d405203e3f2309"),
     "analyze-json": (["analyze", "64827153", "--output", "json"], 0, "8067830cf44c8b460e9784a7a013286c9a20b6246b9132ef5c873e22db6a55b0"),
     "analyze-dot": (["analyze", "351624", "--output", "dot"], 0, "029480f702041ab7c0d87a01c1e0b774df6799d34f10f9887f442033d6113188"),
     "classify": (["classify", "{flag}", "--grid"], 0, "ab897ea8c8b3508121dc92511cf5659fb3def97933a99b0e8ef1f34fc2526fd9"),

@@ -13,9 +13,7 @@ from sporbits.geometry import (
     flag_to_json,
     gram_basis_flag,
     gram_target,
-    identity_matrix,
     mat_mul,
-    mat_transpose,
     matrix_rank,
     parse_flag_json,
     random_symplectic,
@@ -25,7 +23,7 @@ from sporbits.geometry import (
 )
 from sporbits.involutions import corner_counts, enumerate_fpf, parse_involution, w0
 
-from oracles import corner_rank_grid, fraction_mat_mul, fraction_rank, transvection_product
+from oracles import corner_rank_grid, fraction_mat_mul, fraction_rank, identity, transpose, transvection_product
 
 p = parse_involution
 
@@ -56,10 +54,20 @@ class TestStandardForm:
         assert anti == [1, 1, -1, -1]
         assert all(j[i][k] == 0 for i in range(4) for k in range(4) if i + k != 3)
 
+    def test_n3_antidiagonal(self):
+        j = standard_form(3)
+        assert [j[i][6 - 1 - i] for i in range(6)] == [1, 1, 1, -1, -1, -1]
+        assert all(j[i][k] == 0 for i in range(6) for k in range(6) if i + k != 5)
+        assert all(type(x) is Fraction for row in j for x in row)
+
     def test_skew_symmetric(self):
         j = standard_form(3)
-        jt = mat_transpose(j)
+        jt = transpose(j)
         assert all(j[i][k] + jt[i][k] == 0 for i in range(6) for k in range(6))
+
+    def test_refuses_half_degree_zero(self):
+        with pytest.raises(FlagError, match="^half-degree must be at least 1, got 0$"):
+            standard_form(0)
 
 
 class TestRankGrid:
@@ -78,7 +86,7 @@ class TestRankGrid:
         for m in (4, 6):
             for _ in range(4):
                 flag = _random_flag(rng, m)
-                gram = mat_mul(mat_mul(flag.rows, standard_form(m // 2)), mat_transpose(flag.rows))
+                gram = mat_mul(mat_mul(flag.rows, standard_form(m // 2)), transpose(flag.rows))
                 grid = rank_grid(gram)
                 for i in range(1, m + 1):
                     for j in range(1, m + 1):
@@ -89,7 +97,7 @@ class TestRankGrid:
         rng = random.Random(11)
         for _ in range(5):
             flag = _random_flag(rng, 4)
-            gram = mat_mul(mat_mul(flag.rows, standard_form(2)), mat_transpose(flag.rows))
+            gram = mat_mul(mat_mul(flag.rows, standard_form(2)), transpose(flag.rows))
             grid = rank_grid(gram)
             for i in range(1, 5):
                 assert grid[i][4] == i
@@ -121,7 +129,7 @@ class TestRankGrid:
         for n in range(1, 5):
             for mu in enumerate_fpf(n):
                 flag = gram_basis_flag(mu)
-                gram = mat_mul(mat_mul(flag.rows, standard_form(n)), mat_transpose(flag.rows))
+                gram = mat_mul(mat_mul(flag.rows, standard_form(n)), transpose(flag.rows))
                 assert rank_grid(gram) == corner_rank_grid(gram), mu
 
 
@@ -200,7 +208,7 @@ class TestClassify:
             moved += [(None, _random_flag(rng, m).rows) for _ in range(3)]
             for mu, rows in moved:
                 pi = classify_flag(FlagMatrix(rows))
-                gram = fraction_mat_mul(fraction_mat_mul(rows, form), mat_transpose(rows))
+                gram = fraction_mat_mul(fraction_mat_mul(rows, form), transpose(rows))
                 assert corner_counts(pi.word) == corner_rank_grid(gram), rows
                 assert mu is None or pi == mu
 
@@ -237,21 +245,21 @@ class TestClassify:
 
 class TestGramBasisFlag:
     def test_reversal_gives_identity_basis(self):
-        assert gram_basis_flag(p("4321")).rows == identity_matrix(4)
-        assert gram_basis_flag(w0(4)).rows == identity_matrix(8)
+        assert gram_basis_flag(p("4321")).rows == identity(4)
+        assert gram_basis_flag(w0(4)).rows == identity(8)
 
     def test_target_structure_for_2143(self):
         g = gram_target(p("2143"))
         nonzero = {(i + 1, j + 1): g[i][j] for i in range(4) for j in range(4) if g[i][j]}
         assert nonzero == {(1, 2): 1, (2, 1): -1, (3, 4): 1, (4, 3): -1}
         flag = gram_basis_flag(p("2143"))
-        gram = mat_mul(mat_mul(flag.rows, standard_form(2)), mat_transpose(flag.rows))
+        gram = mat_mul(mat_mul(flag.rows, standard_form(2)), transpose(flag.rows))
         assert gram == g
 
     def test_gram_matches_target_degree_six(self):
         for mu in enumerate_fpf(3):
             flag = gram_basis_flag(mu)
-            gram = mat_mul(mat_mul(flag.rows, standard_form(3)), mat_transpose(flag.rows))
+            gram = mat_mul(mat_mul(flag.rows, standard_form(3)), transpose(flag.rows))
             assert gram == gram_target(mu)
 
 
@@ -261,10 +269,14 @@ class TestRandomSymplectic:
             for seed in (0, 1, 2):
                 s = random_symplectic(n, seed)
                 j = standard_form(n)
-                assert mat_mul(mat_mul(s, j), mat_transpose(s)) == j
+                assert mat_mul(mat_mul(s, j), transpose(s)) == j
+
+    def test_refuses_half_degree_zero(self):
+        with pytest.raises(FlagError, match="^half-degree must be at least 1, got 0$"):
+            random_symplectic(0, 1)
 
     def test_zero_transvections_is_identity(self):
-        assert random_symplectic(2, seed=5, transvections=0) == identity_matrix(4)
+        assert random_symplectic(2, seed=5, transvections=0) == identity(4)
         for n in range(1, 7):
             assert random_symplectic(n, seed=5, transvections=0) == transvection_product(n, 5, 0)
 

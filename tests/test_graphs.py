@@ -6,12 +6,12 @@ from sporbits.bruhat import is_rationally_smooth, reverse_leq
 from sporbits.graphs import (
     bottom_edge_labels,
     build_graph,
+    dot_lines,
     graph_to_json,
     is_regular,
     lemma_check,
     local_degree_test,
     rationally_singular_locus,
-    to_dot,
     vertex_degree,
 )
 from sporbits.involutions import (
@@ -27,6 +27,10 @@ from sporbits.patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE
 from oracles import graph_regular
 
 p = parse_involution
+
+
+def to_dot(g):
+    return "".join(line + "\n" for line in dot_lines(g))
 
 
 class TestBuildGraph:
@@ -171,6 +175,10 @@ class TestLemma:
         # (1,2) is an arc of both, but 214365 sits strictly above 216543
         with pytest.raises(InvolutionError, match="not below"):
             lemma_check(p("214365"), p("216543"), Transposition(1, 2))
+
+    def test_requires_two_arcs(self):
+        with pytest.raises(InvolutionError, match="^deletion needs at least two arcs$"):
+            lemma_check(p("21"), p("21"), Transposition(1, 2))
 
 
 class TestExports:

@@ -7,14 +7,12 @@ from sporbits.involutions import (
     InvolutionError,
     SizeLimitError,
     Transposition,
-    all_transpositions,
     check_degree,
     conjugate,
     delete_pair_standardize,
     encapsulation_count,
     enumerate_fpf,
     enumerate_words,
-    format_involution,
     format_word,
     fpf_count,
     open_orbit,
@@ -56,6 +54,17 @@ class TestValidation:
             Transposition(3, 3)
         with pytest.raises(InvolutionError):
             Transposition(0, 2)
+
+    @pytest.mark.parametrize("word", [(2, True), (True, 2), (2.0, 1.0), ("2", "1"), (2, 1, 4.0, 3)])
+    def test_letters_are_ints(self, word):
+        # True == 1 and 2.0 == 2: only an int is a letter.
+        with pytest.raises(InvolutionError):
+            FpfInvolution(word)
+
+    @pytest.mark.parametrize("a, d", [(True, 2), (1, 2.0), ("1", 2)])
+    def test_transposition_letters_are_ints(self, a, d):
+        with pytest.raises(InvolutionError):
+            Transposition(a, d)
 
     def test_arcs(self):
         assert p("351624").arcs() == (
@@ -145,7 +154,7 @@ class TestConjugate:
 
     def test_involutive(self):
         for pi in enumerate_fpf(3):
-            for t in all_transpositions(6):
+            for t in (Transposition(a, d) for a in range(1, 6) for d in range(a + 1, 7)):
                 assert conjugate(conjugate(pi, t), t) == pi
 
     def test_own_arc_fixes(self):
@@ -210,11 +219,11 @@ class TestTextForm:
     def test_digits_roundtrip(self):
         for n in (1, 2, 3, 4):
             for pi in enumerate_fpf(n):
-                assert parse_involution(format_involution(pi)) == pi
+                assert parse_involution(str(pi)) == pi
 
     def test_commas_for_large_degree(self):
         pi = w0(5)
-        text = format_involution(pi)
+        text = str(pi)
         assert text == "10,9,8,7,6,5,4,3,2,1"
         assert parse_involution(text) == pi
 

@@ -321,8 +321,10 @@ class TestCertificate:
             irregular_certificate(host, PatternWitness(p("21"), (1, 3)))
         with pytest.raises(InvolutionError, match="do not realize"):
             irregular_certificate(host, PatternWitness(p("2143"), (1, 2)))
-        with pytest.raises(InvolutionError):
+        with pytest.raises(InvolutionError, match="even in number"):
             irregular_certificate(host, PatternWitness(p("21"), (1, 2, 3)))
+        with pytest.raises(InvolutionError, match=r"^witness indices out of range 1\.\.6: \(0, 1, 2, 3, 4, 5\)$"):
+            irregular_certificate(p("214365"), PatternWitness(p("214365"), (0, 1, 2, 3, 4, 5)))
 
 
 def test_standardize():
