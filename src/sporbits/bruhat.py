@@ -85,23 +85,19 @@ class RankPolynomial:
         return list(self.coeffs)
 
     def pretty(self) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
+        terms = ["1"]  # __post_init__ refuses a constant term other than 1
+        for i, c in enumerate(self.coeffs[1:], 1):
             if c == 0:
                 continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                q = "q" if i == 1 else f"q^{i}"
-                terms.append(q if c == 1 else f"{c}{q}")
+            q = "q" if i == 1 else f"q^{i}"
+            terms.append(q if c == 1 else f"{c}{q}")
         return " + ".join(terms)
 
 
 @dataclass(frozen=True, eq=False)
 class Interval:
-    """A lower interval {mu : mu <= top} in reverse order, with ranks attached."""
+    """A lower interval {mu : mu <= pi} in reverse order, with ranks attached."""
 
-    top: FpfInvolution
     members: tuple[FpfInvolution, ...]
     rank_of: Mapping[FpfInvolution, int]
 
@@ -141,7 +137,7 @@ def interval(pi: FpfInvolution) -> Interval:
     # Packed words compare as the words do, so sorting them is lexicographic.
     pairs = sorted(zip(lower.words, lower.ranks))
     members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p, _ in pairs)
-    return Interval(pi, members, dict(zip(members, (r for _, r in pairs))))
+    return Interval(members, dict(zip(members, (r for _, r in pairs))))
 
 
 class LowerSet(NamedTuple):
@@ -205,8 +201,9 @@ def _walk(pi: FpfInvolution) -> LowerSet:
 
 def rank_poly(pi: FpfInvolution) -> RankPolynomial:
     """Histogram of ranks over the lower interval of pi."""
-    hist = Counter(_walk(pi).ranks)
-    return RankPolynomial(tuple(hist[r] for r in range(rank(pi) + 1)))
+    ranks = _walk(pi).ranks
+    hist = Counter(ranks)
+    return RankPolynomial(tuple(hist[r] for r in range(ranks[0] + 1)))
 
 
 def is_palindromic(poly: RankPolynomial) -> bool:

@@ -112,31 +112,20 @@ def _gram(rows: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, x, y)) for y in rows] for x in map(_times_form, rows)]
 
 
-def _reduce_against(v: list[int], pivots: list[tuple[list[int], int]]) -> list[int]:
-    for pvec, pidx in pivots:
-        if v[pidx]:
-            c, p = v[pidx], pvec[pidx]
-            v = [a * p - b * c for a, b in zip(v, pvec)]
-    return v
-
-
-def _normalize(v: list[int]) -> list[int]:
-    g = gcd(*v)
-    if g > 1:
-        v = [a // g for a in v]
-    return v
-
-
 def _pivots(rows: list[list[int]]) -> list[int | None]:
     """Each row's pivot: its first nonzero column (1-based) after reduction
     against the pivot rows above it, or None if it adds no rank."""
     pivots: list[tuple[list[int], int]] = []
     found: list[int | None] = []
     for v in rows:
-        v = _reduce_against(v, pivots)
+        for pvec, pidx in pivots:
+            if v[pidx]:
+                c, p = v[pidx], pvec[pidx]
+                v = [a * p - b * c for a, b in zip(v, pvec)]
         pidx = next((k for k, a in enumerate(v) if a), None)
         if pidx is not None:
-            pivots.append((_normalize(v), pidx))
+            g = gcd(*v)
+            pivots.append(([a // g for a in v] if g > 1 else v, pidx))
         found.append(None if pidx is None else pidx + 1)
     return found
 

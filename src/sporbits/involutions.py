@@ -73,12 +73,13 @@ class FpfInvolution:
         m = len(w)
         if m == 0 or m % 2:
             raise InvolutionError(f"word length must be a positive even number, got {m}")
+        for i, v in enumerate(w, start=1):
+            # Before the set test, which True == 1 and 2.0 == 2 pass and a list breaks: ints only.
+            if type(v) is not int:
+                raise InvolutionError(f"letter {v!r} at position {i} is not an integer")
         if set(w) != set(range(1, m + 1)):
             raise InvolutionError(f"word is not a permutation of 1..{m}: {w}")
         for i, v in enumerate(w, start=1):
-            # True == 1 and 2.0 == 2 pass the set test above: letters are ints only.
-            if type(v) is not int:
-                raise InvolutionError(f"letter {v!r} at position {i} is not an integer")
             if v == i:
                 raise InvolutionError(f"fixed point at position {i}")
             if w[v - 1] != i:

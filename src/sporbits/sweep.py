@@ -107,7 +107,7 @@ class PosetTables:
     neighbors: ConjugationPairs
     # No order matrix is stored (up-sets are rebuilt per survey), so the
     # traced leq_bytes and leq_density read 0.
-    leq: None = None
+    leq = None
 
     @cached_property
     def elements(self) -> tuple[FpfInvolution, ...]:
@@ -245,15 +245,6 @@ class OrbitSurveyRow:
         return self.avoids == self.palindromic == self.regular
 
 
-def _members(mask: int):
-    """Yield the indices of the set bits of mask, ascending."""
-    flags = format(mask, "b")[::-1]
-    m = flags.find("1")
-    while m >= 0:
-        yield m
-        m = flags.find("1", m + 1)
-
-
 @dataclass(frozen=True, eq=False)
 class TheoremSurvey:
     """The three verdicts of one degree as masks, bit m for scan index m of
@@ -284,14 +275,14 @@ class TheoremSurvey:
         return self._rows((1 << self.count) - 1)
 
     def _rows(self, mask: int) -> tuple[OrbitSurveyRow, ...]:
-        """The rows of the set bits of mask, in word order; each verdict mask is read as one bit string."""
-        if not mask:
-            return ()
+        """The rows of the set bits of mask, in word order; mask and each verdict mask are read as one bit string."""
         packed, ranks, two_n = self.tables.packed, self.tables.ranks, self.tables.two_n
-        verdicts = [format(v, f"0{self.count}b")[::-1] for v in (self.avoids, self.palindromic, self.regular)]
+        wanted, *verdicts = (
+            format(v, f"0{self.count}b")[::-1] for v in (mask, self.avoids, self.palindromic, self.regular)
+        )
         return tuple(
             OrbitSurveyRow(format_word(_unpack(packed[m], two_n)), ranks[m], *(v[m] == "1" for v in verdicts))
-            for m in sorted(_members(mask), key=packed.__getitem__)
+            for m in sorted((m for m, bit in enumerate(wanted) if bit == "1"), key=packed.__getitem__)
         )
 
 

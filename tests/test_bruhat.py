@@ -168,6 +168,7 @@ class TestRankPoly:
         assert RankPolynomial((1, 1, 1)).pretty() == "1 + q + q^2"
         assert RankPolynomial((1, 2, 1)).pretty() == "1 + 2q + q^2"
         assert RankPolynomial((1,)).pretty() == "1"
+        assert RankPolynomial((1, 0, 2, 1)).pretty() == "1 + 2q^2 + q^3"
 
 
 class TestFactorization:

@@ -55,10 +55,13 @@ class TestValidation:
         with pytest.raises(InvolutionError):
             Transposition(0, 2)
 
-    @pytest.mark.parametrize("word", [(2, True), (True, 2), (2.0, 1.0), ("2", "1"), (2, 1, 4.0, 3)])
+    @pytest.mark.parametrize(
+        "word", [(2, True), (True, 2), (2.0, 1.0), ("2", "1"), (2, 1, 4.0, 3), ([2], [1]), ({}, 1)]
+    )
     def test_letters_are_ints(self, word):
-        # True == 1 and 2.0 == 2: only an int is a letter.
-        with pytest.raises(InvolutionError):
+        # True == 1 and 2.0 == 2: only an int is a letter.  An unhashable
+        # letter is refused before the permutation test could raise TypeError.
+        with pytest.raises(InvolutionError, match="is not an integer"):
             FpfInvolution(word)
 
     @pytest.mark.parametrize("a, d", [(True, 2), (1, 2.0), ("1", 2)])

@@ -296,24 +296,25 @@ class TestCertificate:
         assert reverse_leq(cert, host)
         assert local_degree_test(cert, host).irregular
 
-    def test_defining_property_exhaustive(self):
-        for n in (3, 4):
-            for host in enumerate_fpf(n):
-                w = bad_pattern_witness(host)
-                if w is None:
-                    continue
-                cert = irregular_certificate(host, w)
-                assert reverse_leq(cert, host)
-                assert local_degree_test(cert, host).irregular
-
-    def test_defining_property_random_degree_ten(self):
-        rng = random.Random(5)
-        hosts = [h for h in enumerate_fpf(5) if not avoids_all_bad(h)]
-        for host in rng.sample(hosts, 25):
+    @staticmethod
+    def assert_defining_property(n):
+        """Every pattern host of degree 2n lies above its certificate, an irregular vertex."""
+        for host in enumerate_fpf(n):
             w = bad_pattern_witness(host)
+            if w is None:
+                continue
             cert = irregular_certificate(host, w)
             assert reverse_leq(cert, host)
             assert local_degree_test(cert, host).irregular
+
+    def test_defining_property_exhaustive(self):
+        for n in (3, 4, 5):
+            self.assert_defining_property(n)
+
+    @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+    def test_defining_property_exhaustive_at_twelve(self):
+        # All 8923 hosts of degree 12 that include a pattern, in about 3 s.
+        self.assert_defining_property(6)
 
     def test_invalid_witness_rejected(self):
         host = p("2143")
