@@ -23,6 +23,7 @@ from .involutions import (
     DEFAULT_MAX_DEGREE,
     InvolutionError,
     SizeLimitError,
+    _natural,
     check_degree,
     corner_counts,
     enumerate_words,
@@ -38,6 +39,7 @@ from .bruhat import (
     interval,
     rank_poly,
     is_palindromic,
+    is_rationally_smooth,
     reverse_leq,
 )
 from .patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE, SEARCH_MAX_DEGREE, bad_pattern_witness
@@ -157,7 +159,7 @@ def cmd_factor(args, cap: int):
 
 def cmd_graph(args, cap: int):
     pi = _involution(args.involution, cap)
-    bottom = parse_involution(args.bottom) if args.bottom else w0(pi.n)
+    bottom = w0(pi.n) if args.bottom is None else _involution(args.bottom, cap)
     g = build_graph(bottom, pi)
     if args.output == "dot":
         return EXIT_OK, None, dot_lines(g)
@@ -233,10 +235,10 @@ def cmd_classify(args, cap: int):
     try:
         with open(args.flag_file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FlagError(f"cannot read flag file: {exc}") from exc
     pi = classify_flag(parse_flag_json(text))
-    smooth = is_palindromic(rank_poly(pi)) if pi.degree <= cap else None
+    smooth = is_rationally_smooth(pi) if pi.degree <= cap else None
     payload = {
         "schema": "sporbits.classify/1",
         "orbit": str(pi),
@@ -334,9 +336,9 @@ def cmd_verify_theorem(args, cap: int):
 
 def _digits(text: str) -> int:
     """An integer option's value: ASCII digits only, never another script's."""
-    if not (text.isascii() and text.isdigit()):
+    if (value := _natural(text)) is None:
         raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
-    return int(text)
+    return value
 
 
 class Command(NamedTuple):

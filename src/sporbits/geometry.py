@@ -45,7 +45,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .involutions import FpfInvolution, InvolutionError, SizeLimitError, corner_counts
+from .involutions import FpfInvolution, InvolutionError, SizeLimitError, _natural, corner_counts
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
@@ -143,15 +143,17 @@ def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
 
 
 def _rational(x, i: int, j: int) -> Fraction:
-    # Fraction(True) == 1 and Fraction(0.1) is a binary fraction: booleans
-    # and floats are not rational entries here.
+    # Exact types only (the flag builders pass Fractions and ints, never a bool), or
+    # flag_to_json's text: ASCII digits with an optional leading "-" and "/q", q nonzero.
     if type(x) is Fraction:
         return x
-    if not isinstance(x, (bool, float)):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError, TypeError):
-            pass
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is str:
+        num, slash, den = x.removeprefix("-").partition("/")
+        p, q = _natural(num), _natural(den) if slash else 1
+        if p is not None and q:
+            return Fraction(-p if x[:1] == "-" else p, q)
     raise FlagError(f"bad rational at row {i}, column {j}: {x!r}")
 
 
@@ -225,14 +227,8 @@ def gram_basis_flag(mu: FpfInvolution) -> FlagMatrix:
     return flag
 
 
-_TRANSVECTION_COEFFS = (
-    Fraction(1),
-    Fraction(-1),
-    Fraction(1, 2),
-    Fraction(-1, 2),
-    Fraction(2),
-    Fraction(-2),
-)
+# Each transvection coefficient c as (numerator, denominator).
+_TRANSVECTION_COEFFS = ((1, 1), (-1, 1), (1, 2), (-1, 2), (2, 1), (-2, 1))
 
 
 def random_symplectic(n: int, seed: int, transvections: int = 8) -> Matrix:
@@ -255,9 +251,8 @@ def random_symplectic(n: int, seed: int, transvections: int = 8) -> Matrix:
         v = [0] * m
         while not any(v):
             v = [rng.randint(-2, 2) for _ in range(m)]
-        c = rng.choice(_TRANSVECTION_COEFFS)
+        p, q = rng.choice(_TRANSVECTION_COEFFS)
         u = [-x for x in _times_form(v)]  # J v
-        p, q = c.numerator, c.denominator
         # S (I + c u v^T) = S + c (S u) v^T, over the common denominator q den.
         for row in num:
             k = p * sum(map(mul, row, u))
@@ -292,7 +287,8 @@ def parse_flag_json(text: str) -> FlagMatrix:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Bad JSON and ints over CPython's digit limit raise ValueError; deep nesting recurses.
         raise FlagError(f"flag file is not valid JSON: {exc}") from exc
     if isinstance(data, list) and len(data) > MAX_FLAG_ROWS:
         raise SizeLimitError(f"flag matrix has {len(data)} rows, more than the cap {MAX_FLAG_ROWS}")

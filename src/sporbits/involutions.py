@@ -357,6 +357,11 @@ def format_word(word: tuple[int, ...]) -> str:
     return ("" if len(word) <= 9 else ",").join(map(str, word))
 
 
+def _natural(text: str) -> int | None:
+    """The one reader of numbers from outside: ASCII digits only, at most 4300 (CPython's limit)."""
+    return int(text) if text.isascii() and text.isdigit() and len(text) <= 4300 else None
+
+
 def parse_involution(text: str) -> FpfInvolution:
     """Parse one-line notation, either "351624" or "10,2,1,...".
 
@@ -372,8 +377,8 @@ def parse_involution(text: str) -> FpfInvolution:
     for pos, part in enumerate(s.split(",") if comma else s, start=1):
         if comma:
             part = part.strip()
-        if not (part.isascii() and part.isdigit()):
+        if (letter := _natural(part)) is None:
             what = "bad integer" if comma else "unexpected character"
             raise InvolutionError(f"{what} {part!r} at {'entry' if comma else 'position'} {pos}")
-        word.append(int(part))
+        word.append(letter)
     return FpfInvolution(tuple(word))

@@ -83,6 +83,11 @@ class TestBasicCommands:
         code, _, err = run(capsys, "rank", "21x4")
         assert code == 2
 
+    def test_rank_letter_over_the_int_digit_limit(self, capsys):
+        code, out, err = run(capsys, "rank", "2," + "1" * 5000)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad integer") and "at entry 2" in err
+
     def test_order(self, capsys):
         code, data, _ = run_json(capsys, "order", "4321", "3412")
         assert code == 0
@@ -150,6 +155,15 @@ class TestBasicCommands:
         assert code == 0
         assert data["bottom"] == "3412"
         assert len(data["vertices"]) == 2
+
+    def test_bottom_passes_the_involution_gate(self, capsys):
+        # An empty bottom is bad text, not w0; a bottom over the cap is refused like the top.
+        code, out, err = run(capsys, "graph", "2143", "--bottom", "")
+        assert (code, out) == (2, "")
+        assert "empty involution text" in err
+        code, out, err = run(capsys, "graph", "2143", "--bottom", "2,1,4,3,6,5,8,7,10,9,12,11")
+        assert (code, out) == (3, "")
+        assert "exceeds the cap 10" in err
 
     def test_singular_locus(self, capsys):
         code, out, _ = run(capsys, "singular-locus", "351624")
@@ -243,6 +257,22 @@ class TestClassify:
         assert code == 2
         assert out == ""
         assert "bad rational at row 1, column 1" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b'[["\xff", 0], [0, 1]]', id="not-utf-8"),
+            pytest.param(b"[[" + b"1" * 4301 + b", 0], [0, 1]]", id="int-over-4300-digits"),
+            pytest.param(b"[" * 100000, id="deep-nesting"),
+            pytest.param(b'[["1e3", 0], [0, 1]]', id="exponent-entry"),
+        ],
+    )
+    def test_unreadable_files_are_input_errors(self, capsys, tmp_path, content):
+        path = tmp_path / "flag.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_size_cap_before_coercion(self, capsys, tmp_path):
         # Booleans are refused entry by entry with exit 2; exit 3 shows that

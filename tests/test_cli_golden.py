@@ -79,6 +79,8 @@ CASES = {
     "degree-5": (["enumerate", "--degree", "5"], 2, EMPTY),
     "verify-theorem-degree-5": (["verify-theorem", "--degree", "5"], 2, EMPTY),
     "bad-text": (["analyze", "2143x"], 2, EMPTY),
+    # An empty --bottom is bad text, never the default w0.
+    "graph-empty-bottom": (["graph", "2143", "--bottom", ""], 2, EMPTY),
     # Only ASCII digits are read as numbers.
     "rank-superscript": (["rank", "²1"], 2, EMPTY),
     "rank-arabic-indic": (["rank", "٢١"], 2, EMPTY),

@@ -1,5 +1,8 @@
+import json
 import random
 import re
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -338,6 +341,32 @@ class TestSerialization:
             parse_flag_json("[[true, false], [false, true]]")
         with pytest.raises(FlagError, match="row 2, column 2"):
             parse_flag_json('[["1", 0], [0, false]]')
+
+    @pytest.mark.parametrize(
+        "entry", ["1e3", "0.5", " 1", "1_0", "+1", "٣", "３", "1/0", "1/-2", "--1", "-", "", "1/", "/2"]
+    )
+    def test_only_the_written_text_form_is_read(self, entry):
+        # Fraction's own grammar reads most of these; a flag entry is only
+        # what flag_to_json writes: ASCII digits, an optional "-" and "/q".
+        with pytest.raises(FlagError, match="bad rational at row 1, column 1"):
+            parse_flag_json(json.dumps([[entry, 0], [0, 1]]))
+
+    @pytest.mark.parametrize("entry, value", [("-1/2", Fraction(-1, 2)), ("12/4", 3), ("0", 0)])
+    def test_text_forms_read(self, entry, value):
+        flag = parse_flag_json(json.dumps([[1, entry], [0, 1]]))
+        assert flag.rows[0][1] == value and type(flag.rows[0][1]) is Fraction
+
+    def test_other_rational_types_refused(self):
+        with pytest.raises(FlagError, match=r"bad rational at row 1, column 1: Decimal\('1'\)"):
+            FlagMatrix(((Decimal(1), 0), (0, 1)))
+
+    def test_exponent_refused_before_any_arithmetic(self):
+        # Fraction("1e10000000") builds a ten-million-digit integer, in
+        # seconds; a larger exponent would only take longer to show that.
+        start = time.perf_counter()
+        with pytest.raises(FlagError, match="bad rational at row 1, column 1"):
+            parse_flag_json('[["1e10000000", 0], [0, 1]]')
+        assert time.perf_counter() - start < 0.1
 
     def test_row_length_checked_before_coercion(self):
         # Coercing first would refuse the boolean at row 1, column 1.

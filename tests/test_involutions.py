@@ -241,9 +241,12 @@ class TestTextForm:
         with pytest.raises(InvolutionError):
             parse_involution("")
 
-    @pytest.mark.parametrize("text", ["²1", "٢١", "2,١", "２１"])
+    @pytest.mark.parametrize(
+        "text", ["²1", "٢١", "2,١", "２１", pytest.param("2," + "1" * 4301, id="letter-over-4300-digits")]
+    )
     def test_only_ascii_digits(self, text):
-        # str.isdigit and int accept these; none may be read as a number.
+        # str.isdigit accepts these; none may be read as a number (int
+        # refuses the last with a ValueError over its digit limit).
         with pytest.raises(InvolutionError):
             parse_involution(text)
 
