@@ -29,8 +29,11 @@ the lower set.
 
 The scan runs on packed words, 4 bits per letter, so a step is one XOR of
 an int; `check_degree` keeps every scan to a degree a packed word holds.
-`FpfInvolution` objects are built only for what is returned: the members
-of `interval`, and in `graphs` the singular locus and a graph's vertices.
+`FpfInvolution` objects are built only where the Python API hands them
+out: a graph's vertices in `graphs`, and the lazy `Interval.members` and
+`rank_of` and `graphs.SingularLocus.members` and `maximal`, built on first
+read.  The CLI never reads those: it prints the packed words of an
+interval or a locus with `involutions._text`.
 `_walk` keeps the last lower set, so one `analyze` query scans once; the
 sweep of `sweep` scans the open orbit and keeps nothing here.
 The rank polynomial is the histogram of ranks over the interval.  For
@@ -44,7 +47,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .involutions import (
@@ -96,10 +99,23 @@ class RankPolynomial:
 
 @dataclass(frozen=True, eq=False)
 class Interval:
-    """A lower interval {mu : mu <= pi} in reverse order, with ranks attached."""
+    """A lower interval {mu : mu <= pi} in reverse order, with ranks attached.
 
-    members: tuple[FpfInvolution, ...]
-    rank_of: Mapping[FpfInvolution, int]
+    `words` (packed as in `involutions._pack`) and `ranks` are in
+    lexicographic word order; `members` and `rank_of` are built from them
+    on first read."""
+
+    two_n: int
+    words: tuple[int, ...]
+    ranks: tuple[int, ...]
+
+    @cached_property
+    def members(self) -> tuple[FpfInvolution, ...]:
+        return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.words)
+
+    @cached_property
+    def rank_of(self) -> Mapping[FpfInvolution, int]:
+        return dict(zip(self.members, self.ranks))
 
 
 def reverse_leq(mu: FpfInvolution, pi: FpfInvolution) -> bool:
@@ -135,9 +151,8 @@ def interval(pi: FpfInvolution) -> Interval:
     """
     lower = _walk(pi)
     # Packed words compare as the words do, so sorting them is lexicographic.
-    pairs = sorted(zip(lower.words, lower.ranks))
-    members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p, _ in pairs)
-    return Interval(members, dict(zip(members, (r for _, r in pairs))))
+    words, ranks = zip(*sorted(zip(lower.words, lower.ranks)))
+    return Interval(pi.degree, words, ranks)
 
 
 class LowerSet(NamedTuple):
@@ -162,24 +177,25 @@ def _scan(pi: FpfInvolution) -> LowerSet:
     index = {words[0]: 0}
     edges = array("Q")
     offsets = [0]
+    record, find = edges.append, index.get
     for k, p in enumerate(words):  # grows as members are found
         w = _letters(p, two_n)
         below = ranks[k] - 1
-        for i in range(two_n - 1):
-            x = w[i]
+        for i, x in enumerate(w):
             if x < i:
                 continue
             masks_ix = masks[i][x]
             lowest = two_n  # the least w(z) > i over x < z < y, or two_n
-            for y in range(x + 1, two_n):
-                j = w[y]
+            y = x
+            for j in w[x + 1 :]:  # j = w(y) for y = x+1, x+2, ...
+                y += 1
                 if j > i:
                     v = p ^ masks_ix[j][y]
-                    edges.append(v)
+                    record(v)
                     if j < lowest:
                         lowest = j
                         if not x < j < y:
-                            m = index.get(v)
+                            m = find(v)
                             if m is None:
                                 index[v] = len(words)
                                 words.append(v)

@@ -23,7 +23,9 @@ from .involutions import (
     DEFAULT_MAX_DEGREE,
     InvolutionError,
     SizeLimitError,
+    _excerpt,
     _natural,
+    _text,
     check_degree,
     corner_counts,
     enumerate_words,
@@ -74,7 +76,10 @@ def _involution(text: str, cap: int):
 
 
 def _locus_json(locus) -> dict:
-    return {"members": [str(m) for m in locus.members], "maximal": [str(m) for m in locus.maximal]}
+    """The locus as text, read from its packed words: no involution is built."""
+    members = [_text(p, locus.two_n) for p in locus.words]
+    maximal = [m for p, m in zip(locus.words, members) if p in locus.maximal_words]
+    return {"members": members, "maximal": maximal}
 
 
 def cmd_enumerate(args, cap: int):
@@ -116,7 +121,7 @@ def cmd_order(args, cap: int):
 def cmd_interval(args, cap: int):
     pi = _involution(args.involution, cap)
     iv = interval(pi)
-    members = [{"involution": str(mu), "rank": iv.rank_of[mu]} for mu in iv.members]
+    members = [{"involution": _text(p, iv.two_n), "rank": r} for p, r in zip(iv.words, iv.ranks)]
     payload = {
         "schema": "sporbits.interval/1",
         "top": str(pi),
@@ -257,12 +262,12 @@ def cmd_classify(args, cap: int):
 
 def cmd_singular_locus(args, cap: int):
     pi = _involution(args.involution, cap)
-    locus = rationally_singular_locus(pi)
-    payload = {"schema": "sporbits.singular_locus/1", "involution": str(pi), **_locus_json(locus)}
-    if not locus.members:
+    locus = _locus_json(rationally_singular_locus(pi))
+    payload = {"schema": "sporbits.singular_locus/1", "involution": str(pi), **locus}
+    if not locus["members"]:
         return EXIT_OK, payload, ["rationally singular locus: empty"]
-    maximal = set(locus.maximal)
-    return EXIT_OK, payload, (f"{m} (maximal)" if m in maximal else str(m) for m in locus.members)
+    maximal = set(locus["maximal"])
+    return EXIT_OK, payload, (f"{m} (maximal)" if m in maximal else m for m in locus["members"])
 
 
 def cmd_export_bad_patterns(args, cap: int):
@@ -337,7 +342,7 @@ def cmd_verify_theorem(args, cap: int):
 def _digits(text: str) -> int:
     """An integer option's value: ASCII digits only, never another script's."""
     if (value := _natural(text)) is None:
-        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected ASCII digits, got {_excerpt(text)}")
     return value
 
 

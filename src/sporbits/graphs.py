@@ -11,7 +11,9 @@ Graphs are read from the one cover scan, `bruhat._walk`: [bottom, top] is
 the up-closure of bottom along the scan's upper covers, each edge is a
 down-edge it recorded, and both labels come from the XOR of the two packed
 words.  The singular locus and `is_regular` read the same scan, the one
-`rank_poly` just made for the same top, and build no graph.  The point
+`rank_poly` just made for the same top, and build no graph.  The locus
+keeps the scan's packed words: its `members` and `maximal` are built only
+when read, and the CLI prints the words without reading them.  The point
 queries `local_degree_test` and `bottom_edge_labels` never scan: by the
 direction rule t*mu*t != mu lies above mu exactly when mu(a) > mu(d) for
 t = (a, d), a < d, so `_up_labels` lists mu's neighbors above it and only
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import pairwise
 from typing import Iterator, Mapping
 
@@ -155,8 +158,21 @@ def local_degree_test(mu: FpfInvolution, pi: FpfInvolution) -> LocalDegreeReport
 
 @dataclass(frozen=True)
 class SingularLocus:
-    members: tuple[FpfInvolution, ...]
-    maximal: tuple[FpfInvolution, ...]
+    """The singular members of a lower interval as packed words (as in
+    `involutions._pack`), in lexicographic order, and which of them are
+    maximal; `members` and `maximal` are built from them on first read."""
+
+    two_n: int
+    words: tuple[int, ...]
+    maximal_words: frozenset[int]
+
+    @cached_property
+    def members(self) -> tuple[FpfInvolution, ...]:
+        return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.words)
+
+    @cached_property
+    def maximal(self) -> tuple[FpfInvolution, ...]:
+        return tuple(mu for p, mu in zip(self.words, self.members) if p in self.maximal_words)
 
 
 def rationally_singular_locus(pi: FpfInvolution) -> SingularLocus:
@@ -177,10 +193,11 @@ def rationally_singular_locus(pi: FpfInvolution) -> SingularLocus:
     top_rank = lower.ranks[0]
     degree = Counter(lower.edges)
     shadow: list[bool] = []  # singular, or below a singular member
+    marks = shadow.__getitem__
     singular: list[int] = []
     maximal: set[int] = set()
     for p, r, covers in zip(lower.words, lower.ranks, lower.above):
-        marked = any(shadow[c] for c in covers)
+        marked = any(map(marks, covers))
         is_singular = degree[p] > top_rank - r
         if is_singular:
             singular.append(p)
@@ -188,8 +205,7 @@ def rationally_singular_locus(pi: FpfInvolution) -> SingularLocus:
                 maximal.add(p)
         shadow.append(is_singular or marked)
     singular.sort()
-    members = tuple(FpfInvolution(_unpack(p, pi.degree)) for p in singular)
-    return SingularLocus(members, tuple(mu for p, mu in zip(singular, members) if p in maximal))
+    return SingularLocus(pi.degree, tuple(singular), frozenset(maximal))
 
 
 @dataclass(frozen=True)

@@ -260,6 +260,9 @@ if DEFAULT_MAX_DEGREE > PACKED_MAX_DEGREE:
 _NIBBLES = b"0123456789abcdef"
 _ZERO_BASED = bytes.maketrans(_NIBBLES, bytes(range(16)))
 _ONE_BASED = bytes.maketrans(_NIBBLES, bytes(range(1, 17)))
+# A nibble's letter as text: one digit up to 9 letters, else the value and a comma.
+_DIGIT = str.maketrans("012345678", "123456789")
+_ENTRY = str.maketrans({c: f"{v}," for v, c in enumerate(_NIBBLES.decode(), start=1)})
 
 
 def _pack(word: tuple[int, ...]) -> int:
@@ -276,6 +279,17 @@ def _letters(p: int, two_n: int) -> bytes:
 
 def _unpack(p: int, two_n: int) -> tuple[int, ...]:
     return tuple(format(p, f"0{two_n}x").encode().translate(_ONE_BASED))
+
+
+def _text(p: int, two_n: int) -> str:
+    """The text of a packed word, equal to ``format_word(_unpack(p, two_n))``.
+
+    >>> _text(0x2503, 4), _text(_pack(tuple(range(10, 0, -1))), 10)
+    ('3614', '10,9,8,7,6,5,4,3,2,1')
+    """
+    if two_n <= 9:
+        return format(p, f"0{two_n}x").translate(_DIGIT)
+    return format(p, f"0{two_n}x").translate(_ENTRY)[:-1]
 
 
 def _first_difference(p: int, v: int, two_n: int) -> tuple[int, int]:
@@ -362,6 +376,15 @@ def _natural(text: str) -> int | None:
     return int(text) if text.isascii() and text.isdigit() and len(text) <= 4300 else None
 
 
+def _excerpt(text: str) -> str:
+    """Refused text as an error message shows it: its repr, cut after 20 characters.
+
+    >>> _excerpt("2x"), _excerpt("1" * 5000)
+    ("'2x'", "'11111111111111111111'… (5000 characters)")
+    """
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}… ({len(text)} characters)"
+
+
 def parse_involution(text: str) -> FpfInvolution:
     """Parse one-line notation, either "351624" or "10,2,1,...".
 
@@ -379,6 +402,6 @@ def parse_involution(text: str) -> FpfInvolution:
             part = part.strip()
         if (letter := _natural(part)) is None:
             what = "bad integer" if comma else "unexpected character"
-            raise InvolutionError(f"{what} {part!r} at {'entry' if comma else 'position'} {pos}")
+            raise InvolutionError(f"{what} {_excerpt(part)} at {'entry' if comma else 'position'} {pos}")
         word.append(letter)
     return FpfInvolution(tuple(word))

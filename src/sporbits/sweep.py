@@ -79,7 +79,7 @@ from functools import cache, cached_property, reduce
 from itertools import accumulate, pairwise, zip_longest
 
 from .bruhat import _scan
-from .involutions import FpfInvolution, _pack, _unpack, check_degree, format_word, open_orbit
+from .involutions import FpfInvolution, _pack, _text, _unpack, check_degree, open_orbit
 from .patterns import avoiders
 
 
@@ -281,7 +281,7 @@ class TheoremSurvey:
             format(v, f"0{self.count}b")[::-1] for v in (mask, self.avoids, self.palindromic, self.regular)
         )
         return tuple(
-            OrbitSurveyRow(format_word(_unpack(packed[m], two_n)), ranks[m], *(v[m] == "1" for v in verdicts))
+            OrbitSurveyRow(_text(packed[m], two_n), ranks[m], *(v[m] == "1" for v in verdicts))
             for m in sorted((m for m, bit in enumerate(wanted) if bit == "1"), key=packed.__getitem__)
         )
 

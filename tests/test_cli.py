@@ -87,6 +87,15 @@ class TestBasicCommands:
         code, out, err = run(capsys, "rank", "2," + "1" * 5000)
         assert (code, out) == (2, "")
         assert err.startswith("error: bad integer") and "at entry 2" in err
+        # The refused text is echoed cut short, with its length.
+        assert len(err.rstrip("\n")) < 200 and "(5000 characters)" in err
+
+    def test_option_over_the_int_digit_limit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--degree", "9" * 5000])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and "expected ASCII digits" in err and "(5000 characters)" in err
+        assert max(map(len, err.splitlines())) < 200
 
     def test_order(self, capsys):
         code, data, _ = run_json(capsys, "order", "4321", "3412")

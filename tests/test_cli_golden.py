@@ -1,7 +1,8 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout, per command.
 
 Every command runs in text and JSON at 2n <= 8 (DOT too for `graph` and
-`analyze`), beside the refusals: over the cap, a bad override, an override on a
+`analyze`), and `singular-locus`, `analyze` and `interval` also at 2n = 10,
+where words print in the comma form, beside the refusals: over the cap, a bad override, an override on a
 command that reads no cap, an odd degree, bad text, digits other than ASCII
 and a flag over the 16-row cap.
 The pinned values were captured from the CLI before its degree checks were
@@ -66,6 +67,10 @@ CASES = {
     "verify-table-json": (["verify-table", "--output", "json"], 0, "f52c2b5d8aa0833f8ce4028c19d36a16ba5443cb0b62b76996e0ab4895f6a504"),
     "singular-locus": (["singular-locus", "47513826"], 0, "33db9c0453612298d409526ad0901357f422ee65ac5ffd5bc87db10d02ead8e8"),
     "singular-locus-json": (["singular-locus", "351624", "--output", "json"], 0, "f76548ef4b90908786896b4060c069d9d0b2789fda0826a1b260092066afd7a6"),
+    # Ten letters: members, maxima and intervals in the comma form.
+    "singular-locus-ten": (["singular-locus", "10,4,7,2,9,8,3,6,5,1"], 0, "b866175d5870474eb7ad03bbc2d84a39c1cc93416130db56ffd4a6956967c207"),
+    "analyze-ten-json": (["analyze", "7,6,10,9,8,2,1,5,4,3", "--output", "json"], 0, "9e063dac6f490b1a4adf99a0cb04536e2ce99924c80fbee1ba4f210de1a34ea9"),
+    "interval-ten-json": (["interval", "8,5,10,7,2,9,4,1,6,3", "--output", "json"], 0, "c3e6119ebb843cf9d2a24ff016485c9b1378c4a8678351f1b2563593f05cab57"),
     "export-bad-patterns": (["export-bad-patterns"], 0, "a86fc6a27fb2609d0ad4c7046214d010b1bc81185d044c9699b0750906ce3a1e"),
     "export-bad-patterns-json": (["export-bad-patterns", "--output", "json"], 0, "4a86bad52903252c9b1054d878f6827d1dedb4cf7b5d0ed2fb77c2a674804477"),
     # Refusals: nothing on stdout.

@@ -24,8 +24,10 @@ from sporbits.involutions import (
     _conjugation_masks,
     _letters,
     _pack,
+    _text,
     _unpack,
     conjugate,
+    fpf_count,
     open_orbit,
     parse_involution,
     rank,
@@ -162,6 +164,30 @@ def test_interval_and_rank_poly_exhaustive(two_n):
 def test_interval_and_rank_poly_sampled_at_ten():
     for pi in sample(10, 12, seed=3) + [open_orbit(5).word]:
         check_interval(pi)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_scanned_words_are_valid_involutions(n):
+    # The CLI prints scanned words without building an FpfInvolution, so
+    # nothing validates them at run time: every member and every down-edge
+    # word of the whole degree must pass the validation here.
+    lower = bruhat._scan(open_orbit(n))
+    assert len(set(lower.words)) == len(lower.words) == fpf_count(n)
+    for p in set(lower.words) | set(lower.edges):
+        FpfInvolution(_unpack(p, 2 * n))
+
+
+@pytest.mark.parametrize("two_n", [2, 4, 6, 8])
+def test_lazy_members_agree_with_the_printed_words(two_n):
+    for pi in fpf_words(two_n):
+        top = FpfInvolution(pi)
+        iv = interval(top)
+        printed = [(_text(p, two_n), r) for p, r in zip(iv.words, iv.ranks)]
+        assert printed == [(str(mu), iv.rank_of[mu]) for mu in iv.members]
+        locus = rationally_singular_locus(top)
+        assert [_text(p, two_n) for p in locus.words] == [str(mu) for mu in locus.members]
+        maximal = [_text(p, two_n) for p in locus.words if p in locus.maximal_words]
+        assert maximal == [str(mu) for mu in locus.maximal]
 
 
 def test_walk_ranks_at_the_top_of_twelve():

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,6 +8,9 @@ from sporbits.involutions import (
     InvolutionError,
     SizeLimitError,
     Transposition,
+    _pack,
+    _text,
+    _unpack,
     check_degree,
     conjugate,
     delete_pair_standardize,
@@ -249,6 +253,21 @@ class TestTextForm:
         # refuses the last with a ValueError over its digit limit).
         with pytest.raises(InvolutionError):
             parse_involution(text)
+
+    def test_packed_text_matches_format(self):
+        # The CLI prints interval and locus members straight from packed words.
+        for n in range(1, 6):
+            for w in enumerate_words(n):
+                assert _text(_pack(w), 2 * n) == format_word(_unpack(_pack(w), 2 * n)) == format_word(w)
+        rng = random.Random(31)
+        for two_n in (12, 14):
+            for _ in range(500):
+                letters = rng.sample(range(1, two_n + 1), two_n)
+                word = [0] * two_n
+                for a, d in zip(letters[::2], letters[1::2]):
+                    word[a - 1], word[d - 1] = d, a
+                p = _pack(tuple(word))
+                assert _text(p, two_n) == format_word(_unpack(p, two_n)) == str(FpfInvolution(tuple(word)))
 
     def test_str_matches_format(self):
         assert str(p("351624")) == "351624"
