@@ -55,9 +55,9 @@ from .involutions import (
     InvolutionError,
     _conjugation_masks,
     _delete_arc,
+    _involutions,
     _letters,
     _pack,
-    _unpack,
     check_degree,
     rank,
 )
@@ -111,7 +111,7 @@ class Interval:
 
     @cached_property
     def members(self) -> tuple[FpfInvolution, ...]:
-        return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.words)
+        return _involutions(self.words, self.two_n)
 
     @cached_property
     def rank_of(self) -> Mapping[FpfInvolution, int]:

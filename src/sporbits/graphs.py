@@ -33,9 +33,9 @@ from .involutions import (
     InvolutionError,
     Transposition,
     _first_difference,
+    _involutions,
     _letters,
     _pack,
-    _unpack,
     conjugate,
     delete_pair_standardize,
     encapsulation_count,
@@ -77,7 +77,8 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
     for k in range(max(inside), 0, -1):
         if k in inside:
             inside.update(lower.above[k])
-    vertex = {p: FpfInvolution(_unpack(p, two_n)) for p in sorted(lower.words[k] for k in inside)}
+    words = sorted(lower.words[k] for k in inside)
+    vertex = dict(zip(words, _involutions(words, two_n)))
     label = [[Transposition(a + 1, d + 1) if a < d else None for d in range(two_n)] for a in range(two_n)]
     neighbors: dict[int, list[int]] = {p: [] for p in vertex}
     edges = []
@@ -168,7 +169,7 @@ class SingularLocus:
 
     @cached_property
     def members(self) -> tuple[FpfInvolution, ...]:
-        return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.words)
+        return _involutions(self.words, self.two_n)
 
     @cached_property
     def maximal(self) -> tuple[FpfInvolution, ...]:

@@ -260,6 +260,9 @@ if DEFAULT_MAX_DEGREE > PACKED_MAX_DEGREE:
 _NIBBLES = b"0123456789abcdef"
 _ZERO_BASED = bytes.maketrans(_NIBBLES, bytes(range(16)))
 _ONE_BASED = bytes.maketrans(_NIBBLES, bytes(range(1, 17)))
+# Words of at most this many letters print as plain digits, longer ones with
+# commas; `format_word` and its packed twin `_text` both read it.
+_PLAIN_DIGITS = 9
 # A nibble's letter as text: one digit up to 9 letters, else the value and a comma.
 _DIGIT = str.maketrans("012345678", "123456789")
 _ENTRY = str.maketrans({c: f"{v}," for v, c in enumerate(_NIBBLES.decode(), start=1)})
@@ -281,13 +284,18 @@ def _unpack(p: int, two_n: int) -> tuple[int, ...]:
     return tuple(format(p, f"0{two_n}x").encode().translate(_ONE_BASED))
 
 
+def _involutions(words: Sequence[int], two_n: int) -> tuple[FpfInvolution, ...]:
+    """The involutions of packed words, in the same order, each validated."""
+    return tuple(FpfInvolution(_unpack(p, two_n)) for p in words)
+
+
 def _text(p: int, two_n: int) -> str:
     """The text of a packed word, equal to ``format_word(_unpack(p, two_n))``.
 
     >>> _text(0x2503, 4), _text(_pack(tuple(range(10, 0, -1))), 10)
     ('3614', '10,9,8,7,6,5,4,3,2,1')
     """
-    if two_n <= 9:
+    if two_n <= _PLAIN_DIGITS:
         return format(p, f"0{two_n}x").translate(_DIGIT)
     return format(p, f"0{two_n}x").translate(_ENTRY)[:-1]
 
@@ -367,8 +375,10 @@ def _delete_arc(word: tuple[int, ...], a: int, d: int) -> tuple[int, ...]:
 
 
 def format_word(word: tuple[int, ...]) -> str:
-    """One-line text of a word: plain digits up to 9 letters, else comma-separated."""
-    return ("" if len(word) <= 9 else ",").join(map(str, word))
+    """One-line text of a word: plain digits up to 9 letters, else comma-separated.
+
+    `_text` is its twin for packed words."""
+    return ("" if len(word) <= _PLAIN_DIGITS else ",").join(map(str, word))
 
 
 def _natural(text: str) -> int | None:

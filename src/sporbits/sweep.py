@@ -79,7 +79,7 @@ from functools import cache, cached_property, reduce
 from itertools import accumulate, pairwise, zip_longest
 
 from .bruhat import _scan
-from .involutions import FpfInvolution, _pack, _text, _unpack, check_degree, open_orbit
+from .involutions import FpfInvolution, _involutions, _pack, _text, check_degree, open_orbit
 from .patterns import avoiders
 
 
@@ -112,7 +112,7 @@ class PosetTables:
     @cached_property
     def elements(self) -> tuple[FpfInvolution, ...]:
         """The involutions in scan order, built on first use; a survey never uses them."""
-        return tuple(FpfInvolution(_unpack(p, self.two_n)) for p in self.packed)
+        return _involutions(self.packed, self.two_n)
 
 
 @cache
