@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 from .involutions import (
@@ -420,7 +420,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP if isinstance(exc, SizeLimitError) else EXIT_INPUT
     if args.output == "json":
-        print(json.dumps(payload, indent=2))
+        # Written in batches of the encoder's chunks, never as one string.
+        chunks = json.JSONEncoder(indent=2).iterencode(payload)
+        while batch := list(islice(chunks, 1 << 14)):
+            sys.stdout.write("".join(batch))
+        sys.stdout.write("\n")
     else:
         for line in lines:
             print(line)

@@ -25,9 +25,17 @@ element as a list of ints, bit-plane b holding bit b of every count, so a
 few bitwise operations on whole planes update all the counts at once.  For
 each class of elements of equal rank k and down-degree d↓ (the number of
 conjugates below), one counter holds #{mu in the class : mu <= pi} at bit
-pi; adding U(mu) into its class's counter is a ripple increment that stops
-once the carry is 0.  The counters of rank k sum to the rank histogram
-h_k(pi) = #{mu of rank k : mu <= pi}.  The columns:
+pi.  The class counters are carry-save (3:2) counters, as in Harley-Seal
+population counts: plane b holds up to two ints of weight 2^b.  Adding
+U(mu) runs one full adder at each full plane from the bottom, whose sum
+stays and whose carry moves up as the new column, until the column parks
+in a free slot.  A full adder stores one int fewer, so a class runs at
+most as many full adders as it adds up-sets, where a ripple increment
+would walk nearly every plane per up-set, since the counts differ at
+every bit.  Once every up-set is in, one ripple-carry add of the first
+and the second slots turns each class into ordinary planes.  The counters
+of rank k sum to the rank histogram h_k(pi) = #{mu of rank k : mu <= pi}.
+The columns:
 
 - palindromic: pi of rank r is palindromic when h_k(pi) = h_{r-k}(pi) for
   every k.  Two counters agree at pi exactly when every plane agrees there
@@ -151,26 +159,46 @@ def _upper_sets(tables: PosetTables):
     for level in reversed(tables.levels):
         current = []
         for m in level:
-            upper = 1 << m
+            upper = 0
             for c in covers[m]:
                 upper |= above[c - above_start]
+            # Own bit last: m is the highest bit, so the ORs above stay short.
+            upper |= 1 << m
             current.append(upper)
             yield m, upper
         above, above_start = current, level.start
 
 
 # Bit-sliced counters: a list of planes, plane b holding bit b of each count.
+# A carry-save counter is a list of planes too, but plane b is a pair of ints
+# of weight 2^b, 0 marking a free slot: the count at a bit is the weighted sum
+# over every int.
 
 
-def _increment(planes: list[int], column: int) -> None:
-    """Add a 0/1 column to a counter in place, rippling the carry up."""
-    carry = column
-    for b, plane in enumerate(planes):
-        planes[b] = plane ^ carry
-        carry &= plane
-        if not carry:
+def _carry_save(counter: list[list[int]], column: int) -> None:
+    """Add a 0/1 column to a carry-save counter in place.
+
+    The column parks in the lowest plane with a free slot.  Each full plane
+    below it runs one full adder (3:2 compressor) on its two ints and the
+    column: the sum stays, the carry moves up a plane as the new column.  A
+    full adder leaves one int fewer stored, so a counter runs at most as many
+    full adders as it is given columns, however deep its counts' carries go.
+    """
+    for slots in counter:
+        a, b = slots
+        if not b:
+            slots[1] = column
             return
-    planes.append(carry)
+        u = a ^ b
+        slots[0] = u ^ column
+        slots[1] = 0
+        column = a & b | u & column
+    counter.append([column, 0])
+
+
+def _resolved(counter: list[list[int]]) -> list[int]:
+    """The ordinary planes of a carry-save counter: its first slots plus its second."""
+    return _add([a for a, _ in counter], [b for _, b in counter])
 
 
 def _add(x: list[int], y: list[int]) -> list[int]:
@@ -210,12 +238,13 @@ def _columns(tables: PosetTables) -> tuple[int, int]:
     """The masks of the palindromic and of the regular elements, bit m for scan index m."""
     ranks, down_degree, levels = tables.ranks, tables.down_degree, tables.levels
     # One counter per (rank, d↓) class, as the module docstring sets out.
-    counters: dict[tuple[int, int], list[int]] = {}
+    counters: dict[tuple[int, int], list[list[int]]] = {}
     for m, upper in _upper_sets(tables):
-        _increment(counters.setdefault((ranks[m], down_degree[m]), []), upper)
+        _carry_save(counters.setdefault((ranks[m], down_degree[m]), []), upper)
     hist: list[list[int]] = [[] for _ in levels]
     weighted: list[int] = []  # E + A
-    for (k, d), planes in counters.items():
+    for (k, d), counter in counters.items():
+        planes = _resolved(counter)
         hist[k] = _add(hist[k], planes)
         weighted = _add(weighted, _times(planes, d + k))
     total = reduce(_add, hist, [])  # T

@@ -548,3 +548,21 @@ def test_graph_dot_of_the_top_at_twelve_stays_small():
     # a header of two lines, 10395 vertices, 155925 edges and the closing brace
     assert (code, out[0], out[-1], len(out)) == (0, "graph interval {", "}", 2 + 10395 + 155925 + 1)
     assert peak_kib < 120 * 1024, f"peak RSS {peak_kib} KiB"
+
+
+@pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+def test_graph_json_of_the_top_at_twelve_stays_small():
+    # The JSON payload goes out in batches of encoder chunks, never as one string.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    top = "2,1,4,3,6,5,8,7,10,9,12,11"
+    argv = [sys.executable, "-m", "sporbits.cli", "graph", top, "--max-degree-override", "12", "--output", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    out, last = proc.stdout.rstrip("\n").rsplit("\n", 1)
+    code, peak_kib = map(int, last.split())
+    payload = json.loads(out)
+    assert (code, len(payload["vertices"]), len(payload["edges"])) == (0, 10395, 155925)
+    assert peak_kib < 200 * 1024, f"peak RSS {peak_kib} KiB"

@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+from itertools import zip_longest
+from operator import add
 
 import oracles
 import pytest
@@ -43,6 +45,11 @@ def down_covers(tables):
 def counter(values):
     """A bit-sliced counter holding values[i] at bit i."""
     return [sum(1 << i for i, v in enumerate(values) if v >> b & 1) for b in range(max(values).bit_length())]
+
+
+def carry_save(x, y):
+    """A carry-save counter holding x[i] + y[i] at bit i: x in the first slots, y in the second."""
+    return [[a, b] for a, b in zip_longest(counter(x), counter(y), fillvalue=0)]
 
 
 def counts(planes, size):
@@ -163,18 +170,47 @@ class TestCounters:
             y = [rng.randrange(1 << rng.randrange(9)) for _ in range(size)]
             column = [rng.randrange(2) for _ in range(size)]
             c = rng.randrange(70)
-            planes = counter(x)
-            sweep._increment(planes, sum(bit << i for i, bit in enumerate(column)))
-            assert counts(planes, size) == [a + b for a, b in zip(x, column)]
+            bits = sum(bit << i for i, bit in enumerate(column))
+            # x in the first slots alone, then x and y in both slots.
+            for held, slots in ((x, [[a, 0] for a in counter(x)]), (list(map(add, x, y)), carry_save(x, y))):
+                sweep._carry_save(slots, bits)
+                assert counts(sweep._resolved(slots), size) == [a + b for a, b in zip(held, column)]
             assert counts(sweep._add(counter(x), counter(y)), size) == [a + b for a, b in zip(x, y)]
             assert counts(sweep._times(counter(x), c), size) == [c * a for a in x]
             assert sweep._differ(counter(x), counter(y)) == sum(1 << i for i, (a, b) in enumerate(zip(x, y)) if a != b)
 
     def test_increment_carries_into_a_new_plane(self):
-        planes = []
+        slots = []
         for _ in range(5):
-            sweep._increment(planes, 0b101)
-        assert planes == [0b101, 0, 0b101]
+            sweep._carry_save(slots, 0b101)
+        # The third and fifth additions each ran one full adder.
+        assert slots == [[0b101, 0], [0b101, 0b101]]
+        assert sweep._resolved(slots) == [0b101, 0, 0b101]
+
+    def test_carry_save_with_every_count_different(self):
+        # 2000 columns leave every position a different count, so the carries
+        # run deep at every bit, as in the sweep.
+        rng = random.Random(2000)
+        size = 64
+        want = rng.sample(range(2001), size)
+        columns = [0] * 2000
+        for i, count in enumerate(want):
+            for j in rng.sample(range(2000), count):
+                columns[j] |= 1 << i
+        slots = []
+        for column in columns:
+            sweep._carry_save(slots, column)
+        assert len(set(want)) == size
+        assert counts(sweep._resolved(slots), size) == want
+
+    def test_carry_save_of_one_column_and_of_none(self):
+        slots = []
+        sweep._carry_save(slots, 0b1101)
+        assert slots == [[0b1101, 0]]
+        assert counts(sweep._resolved(slots), 4) == [1, 0, 1, 1]
+        # An empty class resolves to the counter with no planes: every count 0.
+        assert sweep._resolved([]) == []
+        assert counts(sweep._resolved([]), 4) == [0, 0, 0, 0]
 
     def test_columns_match_byte_class_oracle(self):
         for two_n in range(2, 13, 2):
