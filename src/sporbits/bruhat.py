@@ -30,10 +30,10 @@ the lower set.
 The scan runs on packed words, 4 bits per letter, so a step is one XOR of
 an int; `check_degree` keeps every scan to a degree a packed word holds.
 `FpfInvolution` objects are built only where the Python API hands them
-out: a graph's vertices in `graphs`, and the lazy `Interval.members` and
-`rank_of` and `graphs.SingularLocus.members` and `maximal`, built on first
-read.  The CLI never reads those: it prints the packed words of an
-interval or a locus with `involutions._text`.
+out, on first read: `Interval.members` and `rank_of`, and the involution
+fields of `graphs.SingularLocus` and `graphs.BruhatGraph`.  The CLI never
+reads those: it prints the packed words of an interval, a locus or a graph
+with `involutions._text`.
 `_walk` keeps the last lower set, so one `analyze` query scans once; the
 sweep of `sweep` scans the open orbit and keeps nothing here.
 The rank polynomial is the histogram of ranks over the interval.  For

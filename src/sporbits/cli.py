@@ -46,6 +46,7 @@ from .bruhat import (
 )
 from .patterns import BAD_PATTERNS, BOTTOM_VERTEX_TABLE, SEARCH_MAX_DEGREE, bad_pattern_witness
 from .graphs import (
+    _vertex_names,
     bottom_edge_labels,
     build_graph,
     dot_lines,
@@ -171,10 +172,10 @@ def cmd_graph(args, cap: int):
     # The JSON form is as large as the graph: build it only to print it.
     payload = graph_to_json(g) if args.output == "json" else None
     header = [
-        f"interval [{g.bottom}, {g.top}]: {len(g.vertices)} vertices, {g.edge_count} edges",
+        f"interval [{g.bottom}, {g.top}]: {len(g.interval.words)} vertices, {g.edge_count} edges",
         f"rank gap: {g.rank_gap}",
     ]
-    edges = (f"{u} -- {v} [{labels}]" for u, v, labels in edge_rows(g, {v: str(v) for v in g.vertices}))
+    edges = (f"{u} -- {v} [{labels}]" for u, v, labels in edge_rows(g, _vertex_names(g)))
     return EXIT_OK, payload, chain(header, edges)
 
 

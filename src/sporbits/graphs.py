@@ -11,9 +11,9 @@ Graphs are read from the one cover scan, `bruhat._walk`: [bottom, top] is
 the up-closure of bottom along the scan's upper covers, each edge is a
 down-edge it recorded, and both labels come from the XOR of the two packed
 words.  The singular locus and `is_regular` read the same scan, the one
-`rank_poly` just made for the same top, and build no graph.  The locus
-keeps the scan's packed words: its `members` and `maximal` are built only
-when read, and the CLI prints the words without reading them.  The point
+`rank_poly` just made for the same top, and build no graph.  A graph and a
+locus keep the scan's packed words; their `FpfInvolution` fields are built
+only when the Python API reads them, and the CLI renders the words.  The point
 queries `local_degree_test` and `bottom_edge_labels` never scan: by the
 direction rule t*mu*t != mu lies above mu exactly when mu(a) > mu(d) for
 t = (a, d), a < d, so `_up_labels` lists mu's neighbors above it and only
@@ -36,22 +36,25 @@ from .involutions import (
     _involutions,
     _letters,
     _pack,
+    _text,
     conjugate,
     delete_pair_standardize,
     encapsulation_count,
     rank,
     w0,
 )
-from .bruhat import _walk, reverse_leq
+from .bruhat import Interval, _walk, reverse_leq
 
 
 @dataclass(frozen=True, eq=False)
 class BruhatGraph:
+    """`interval` holds the vertices' sorted packed words and scan ranks, and `edges` each
+    edge once as (upper word, lower word, labels), sorted; the rest is built on first read."""
+
     bottom: FpfInvolution
     top: FpfInvolution
-    vertices: tuple[FpfInvolution, ...]
-    adjacency: Mapping[FpfInvolution, tuple[FpfInvolution, ...]]
-    edge_labels: Mapping[tuple[FpfInvolution, FpfInvolution], tuple[Transposition, ...]]
+    interval: Interval
+    edges: tuple[tuple[int, int, tuple[Transposition, Transposition]], ...]
 
     @property
     def rank_gap(self) -> int:
@@ -59,7 +62,25 @@ class BruhatGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edge_labels)
+        return len(self.edges)
+
+    @cached_property
+    def vertices(self) -> tuple[FpfInvolution, ...]:
+        return self.interval.members
+
+    @cached_property
+    def adjacency(self) -> Mapping[FpfInvolution, tuple[FpfInvolution, ...]]:
+        vertex = dict(zip(self.interval.words, self.vertices))
+        neighbors: dict[int, list[int]] = {p: [] for p in vertex}
+        for u, v, _ in self.edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        return {vertex[p]: tuple(vertex[x] for x in sorted(ns)) for p, ns in neighbors.items()}
+
+    @cached_property
+    def edge_labels(self) -> Mapping[tuple[FpfInvolution, FpfInvolution], tuple[Transposition, ...]]:
+        vertex = dict(zip(self.interval.words, self.vertices))
+        return {(vertex[u], vertex[v]): ts for u, v, ts in self.edges}
 
 
 def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
@@ -77,27 +98,22 @@ def build_graph(bottom: FpfInvolution, top: FpfInvolution) -> BruhatGraph:
     for k in range(max(inside), 0, -1):
         if k in inside:
             inside.update(lower.above[k])
-    words = sorted(lower.words[k] for k in inside)
-    vertex = dict(zip(words, _involutions(words, two_n)))
+    members = {lower.words[k] for k in inside}
     label = [[Transposition(a + 1, d + 1) if a < d else None for d in range(two_n)] for a in range(two_n)]
-    neighbors: dict[int, list[int]] = {p: [] for p in vertex}
     edges = []
     for k in inside:
         p = lower.words[k]
         w = _letters(p, two_n)
         for v in lower.edges[lower.offsets[k] : lower.offsets[k + 1]]:
-            if v in vertex:
-                neighbors[p].append(v)
-                neighbors[v].append(p)
+            if v in members:
                 # v = t*p*t, t = (i, j) with i < x = p(i) < y = p(j), differs from p
                 # at i, j, x and y, first at i, where v(i) = y > x: the word v is
                 # the larger, and the labels are (i, p(y)) and (x, y).
                 i, y = _first_difference(p, v, two_n)
                 edges.append((p, v, (label[i][w[y]], label[w[i]][y])))
     edges.sort()
-    adjacency = {vertex[p]: tuple(vertex[x] for x in sorted(ns)) for p, ns in neighbors.items()}
-    edge_labels = {(vertex[u], vertex[v]): ts for u, v, ts in edges}
-    return BruhatGraph(bottom, top, tuple(vertex.values()), adjacency, edge_labels)
+    words, ranks = zip(*sorted((lower.words[k], lower.ranks[k]) for k in inside))
+    return BruhatGraph(bottom, top, Interval(two_n, words, ranks), tuple(edges))
 
 
 def vertex_degree(g: BruhatGraph, v: FpfInvolution) -> int:
@@ -241,13 +257,19 @@ def lemma_check(mu: FpfInvolution, pi: FpfInvolution, t: Transposition) -> Lemma
 
 
 def _graph_is_gap_regular(g: BruhatGraph) -> bool:
+    degree = Counter(p for u, v, _ in g.edges for p in (u, v))
     gap = g.rank_gap
-    return all(len(g.adjacency[v]) == gap for v in g.vertices)
+    return all(degree[p] == gap for p in g.interval.words)
 
 
-def edge_rows(g: BruhatGraph, names: Mapping[FpfInvolution, str]) -> Iterator[tuple[str, str, str]]:
-    """Each edge as (u, v, labels): its ends' text from names, its labels joined by commas."""
-    for (u, v), ts in g.edge_labels.items():
+def _vertex_names(g: BruhatGraph) -> dict[int, str]:
+    """Each vertex's text keyed by its packed word, in vertex order: no involution is built."""
+    return {p: _text(p, g.interval.two_n) for p in g.interval.words}
+
+
+def edge_rows(g: BruhatGraph, names: Mapping[int, str]) -> Iterator[tuple[str, str, str]]:
+    """Each edge as (u, v, labels): its ends' names (by packed word), its labels joined by commas."""
+    for u, v, ts in g.edges:
         yield names[u], names[v], ",".join(t.label for t in ts)
 
 
@@ -258,9 +280,9 @@ def dot_lines(g: BruhatGraph) -> Iterator[str]:
         f'  graph [top="{g.top}", bottom="{g.bottom}", '
         f"rank_gap={g.rank_gap}, regular={str(_graph_is_gap_regular(g)).lower()}];"
     )
-    names = {v: str(v) for v in g.vertices}
-    for v, name in names.items():
-        yield f'  "{name}" [label="{name}\\nr={rank(v)}"];'
+    names = _vertex_names(g)
+    for name, r in zip(names.values(), g.interval.ranks):
+        yield f'  "{name}" [label="{name}\\nr={r}"];'
     for u, v, labels in edge_rows(g, names):
         yield f'  "{u}" -- "{v}" [label="{labels}"];'
     yield "}"
@@ -268,16 +290,13 @@ def dot_lines(g: BruhatGraph) -> Iterator[str]:
 
 def graph_to_json(g: BruhatGraph) -> dict:
     """JSON form mirroring the DOT export."""
-    names = {v: str(v) for v in g.vertices}
+    names = _vertex_names(g)
     return {
         "schema": "sporbits.graph/1",
         "top": str(g.top),
         "bottom": str(g.bottom),
         "rank_gap": g.rank_gap,
         "regular": _graph_is_gap_regular(g),
-        "vertices": [{"involution": name, "rank": rank(v)} for v, name in names.items()],
-        "edges": [
-            {"u": names[u], "v": names[v], "labels": [t.label for t in ts]}
-            for (u, v), ts in g.edge_labels.items()
-        ],
+        "vertices": [{"involution": name, "rank": r} for name, r in zip(names.values(), g.interval.ranks)],
+        "edges": [{"u": names[u], "v": names[v], "labels": [t.label for t in ts]} for u, v, ts in g.edges],
     }

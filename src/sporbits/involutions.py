@@ -17,8 +17,8 @@ from functools import cache, lru_cache
 from typing import Sequence
 
 # The largest degree any walk, enumeration or sweep covers: 135 135
-# involutions.  A fresh `verify-theorem --degree 14` takes 6-7.5 s and about
-# 250 MB (2 cores, Python 3.11): the cover scan about 2 s and 85 MB, the
+# involutions.  A fresh `verify-theorem --degree 14` takes 3.7-4.4 s and
+# 248 MB (2 cores, Python 3.11): the cover scan about 1.5 s and 85 MB, the
 # survey's up-sets and counters the rest.  2n = 16 has 2 027 025.
 DEFAULT_MAX_DEGREE = 14
 

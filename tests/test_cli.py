@@ -533,21 +533,31 @@ def test_order_at_eight_thousand_letters_stays_small():
 
 
 @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
-def test_graph_dot_of_the_top_at_twelve_stays_small():
-    # DOT goes out a line at a time, never as one string split into lines.
+@pytest.mark.parametrize(
+    "output, first, last, count",
+    [
+        # a header of two lines and 155925 edges
+        ("text", "interval [12,11,10,9,8,7,6,5,4,3,2,1, 2,1,4,3,6,5,8,7,10,9,12,11]: 10395 vertices, 155925 edges",
+         "12,11,10,9,7,8,5,6,4,3,2,1 -- 12,11,10,9,8,7,6,5,4,3,2,1 [56,78]", 2 + 155925),
+        # a header of two lines, 10395 vertices, 155925 edges and the closing brace
+        ("dot", "graph interval {", "}", 2 + 10395 + 155925 + 1),
+    ],
+)
+def test_graph_of_the_top_at_twelve_stays_small(output, first, last, count):
+    # The graph keeps the scan's packed words and renders them a line at a
+    # time: no involution per vertex, and never one string split into lines.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     top = "2,1,4,3,6,5,8,7,10,9,12,11"
-    argv = [sys.executable, "-m", "sporbits.cli", "graph", top, "--max-degree-override", "12", "--output", "dot"]
+    argv = [sys.executable, "-m", "sporbits.cli", "graph", top, "--max-degree-override", "12", "--output", output]
     proc = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *argv], capture_output=True, text=True, env=env, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    *out, last = proc.stdout.splitlines()
-    code, peak_kib = map(int, last.split())
-    # a header of two lines, 10395 vertices, 155925 edges and the closing brace
-    assert (code, out[0], out[-1], len(out)) == (0, "graph interval {", "}", 2 + 10395 + 155925 + 1)
-    assert peak_kib < 120 * 1024, f"peak RSS {peak_kib} KiB"
+    *out, status = proc.stdout.splitlines()
+    code, peak_kib = map(int, status.split())
+    assert (code, out[0], out[-1], len(out)) == (0, first, last, count)
+    assert peak_kib < 64 * 1024, f"peak RSS {peak_kib} KiB"
 
 
 @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")

@@ -1,8 +1,9 @@
 """Golden CLI outputs: the exit code and the sha256 of stdout, per command.
 
 Every command runs in text and JSON at 2n <= 8 (DOT too for `graph` and
-`analyze`), and `singular-locus`, `analyze` and `interval` also at 2n = 10,
-where words print in the comma form, beside the refusals: over the cap, a bad override, an override on a
+`analyze`), and `singular-locus`, `analyze`, `interval` and `graph` (text,
+DOT and JSON) also at 2n = 10, where words and labels print in the comma
+form, beside the refusals: over the cap, a bad override, an override on a
 command that reads no cap, an odd degree, bad text, digits other than ASCII
 and a flag over the 16-row cap.
 The pinned values were captured from the CLI before its degree checks were
@@ -71,6 +72,10 @@ CASES = {
     "singular-locus-ten": (["singular-locus", "10,4,7,2,9,8,3,6,5,1"], 0, "b866175d5870474eb7ad03bbc2d84a39c1cc93416130db56ffd4a6956967c207"),
     "analyze-ten-json": (["analyze", "7,6,10,9,8,2,1,5,4,3", "--output", "json"], 0, "9e063dac6f490b1a4adf99a0cb04536e2ce99924c80fbee1ba4f210de1a34ea9"),
     "interval-ten-json": (["interval", "8,5,10,7,2,9,4,1,6,3", "--output", "json"], 0, "c3e6119ebb843cf9d2a24ff016485c9b1378c4a8678351f1b2563593f05cab57"),
+    # Graph vertices and labels such as 1,10 in the comma form, with and without --bottom.
+    "graph-ten": (["graph", "8,7,6,5,4,3,2,1,10,9", "--bottom", "10,8,7,6,9,4,3,2,5,1"], 0, "19a94f41b295b406a65243ea9541d23cbf589d8521a68efab03a67a281b166e7"),
+    "graph-ten-dot": (["graph", "2,1,10,9,8,7,6,5,4,3", "--output", "dot"], 0, "bd17e6e5b2fae32dd3daacbaf96afed964da08e442bdda0778e5b3d4fb20885a"),
+    "graph-ten-json": (["graph", "3,9,1,10,8,7,6,5,2,4", "--output", "json"], 0, "9fdc549e3ad379731d7f212d7019ac3280b87eabe5a1e50e3557d64cd2d62730"),
     "export-bad-patterns": (["export-bad-patterns"], 0, "a86fc6a27fb2609d0ad4c7046214d010b1bc81185d044c9699b0750906ce3a1e"),
     "export-bad-patterns-json": (["export-bad-patterns", "--output", "json"], 0, "4a86bad52903252c9b1054d878f6827d1dedb4cf7b5d0ed2fb77c2a674804477"),
     # Refusals: nothing on stdout.

@@ -14,7 +14,16 @@ import pytest
 
 from sporbits import bruhat, cli
 from sporbits.bruhat import _walk, interval, rank_poly
-from sporbits.graphs import _up_labels, build_graph, local_degree_test, rationally_singular_locus
+from sporbits.graphs import (
+    _up_labels,
+    _vertex_names,
+    build_graph,
+    dot_lines,
+    edge_rows,
+    graph_to_json,
+    local_degree_test,
+    rationally_singular_locus,
+)
 from sporbits.involutions import (
     DEFAULT_MAX_DEGREE,
     PACKED_MAX_DEGREE,
@@ -188,6 +197,39 @@ def test_lazy_members_agree_with_the_printed_words(two_n):
         assert [_text(p, two_n) for p in locus.words] == [str(mu) for mu in locus.members]
         maximal = [_text(p, two_n) for p in locus.words if p in locus.maximal_words]
         assert maximal == [str(mu) for mu in locus.maximal]
+
+
+def graph_pairs():
+    """Every (bottom, top) pair to 2n = 6, and seeded pairs at 8."""
+    for two_n in (2, 4, 6):
+        words = fpf_words(two_n)
+        yield from ((bottom, top) for top in words for bottom in words if cached_below(bottom, top))
+    rng = random.Random(33)
+    for top in rng.sample(fpf_words(8), 8) + [open_orbit(4).word]:
+        below = oracle_interval(top)
+        yield from ((bottom, top) for bottom in rng.sample(below, min(3, len(below))))
+
+
+def test_graph_renders_from_the_words_and_builds_its_fields_lazily():
+    # Text, DOT and JSON read the packed words, scan ranks and edges; no
+    # render builds the API's fields, and what they print equals those fields.
+    lazy = {"vertices", "adjacency", "edge_labels"}
+    for bottom, top in graph_pairs():
+        g = build_graph(FpfInvolution(bottom), FpfInvolution(top))
+        rows = list(edge_rows(g, _vertex_names(g)))
+        dot = list(dot_lines(g))
+        data = graph_to_json(g)
+        assert lazy.isdisjoint(vars(g)) and "members" not in vars(g.interval), (bottom, top)
+        vertices = [(str(v), rank(v)) for v in g.vertices]
+        labels = [(str(u), str(v), [t.label for t in ts]) for (u, v), ts in g.edge_labels.items()]
+        regular = all(len(g.adjacency[v]) == g.rank_gap for v in g.vertices)
+        assert rows == [(u, v, ",".join(ts)) for u, v, ts in labels]
+        assert [(v["involution"], v["rank"]) for v in data["vertices"]] == vertices
+        assert [(e["u"], e["v"], e["labels"]) for e in data["edges"]] == labels
+        assert data["regular"] is regular and data["rank_gap"] == rank(g.top) - rank(g.bottom)
+        assert dot[1].endswith(f"regular={str(regular).lower()}];")
+        assert dot[2 : 2 + len(vertices)] == [f'  "{v}" [label="{v}\\nr={r}"];' for v, r in vertices]
+        assert dot[2 + len(vertices) : -1] == [f'  "{u}" -- "{v}" [label="{",".join(ts)}"];' for u, v, ts in labels]
 
 
 def test_walk_ranks_at_the_top_of_twelve():
