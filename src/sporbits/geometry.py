@@ -11,10 +11,12 @@ near-degenerate flags, since rank is discontinuous.
 - **Integer kernel.**  Every product, rank and grid runs on Python ints.
   Scaling a row by a positive integer keeps the rank of every leading
   corner, so denominators are cleared row by row (and, for the right factor
-  of a product, column by column).  Fractions appear only at the API's
-  edges: ``FlagMatrix.rows``, the matrices public functions return, and
-  JSON.  J is a signed antidiagonal, so F J is a signed column reversal of
-  F, and the Gram matrix of a flag is one integer product (F J) F^T.
+  of a product, column by column).  A flag is stored so, as int rows over
+  one positive denominator per row, from its input to its output; Fractions
+  appear only at the API's edges: ``FlagMatrix.rows`` (built on first read)
+  and the matrices public functions take and return.  J is a signed
+  antidiagonal, so F J is a signed column reversal of F, and the Gram
+  matrix of a flag is one integer product (F J) F^T.
 - **Rank-one updates.**  The transvection x -> x + c <x, v> v acts on row
   vectors as I + c u v^T with u = J v, so a product S of transvections is
   updated as S + c (S u) v^T, in O(m^2) per step instead of an O(m^3)
@@ -40,6 +42,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -142,41 +145,56 @@ def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
     return corner_counts(_pivots(_scaled(m)[0]))
 
 
-def _rational(x, i: int, j: int) -> Fraction:
+def _entry(x, i: int, j: int) -> tuple[int, int]:
+    """A flag entry as (p, q), q > 0, read from an int, a Fraction or flag_to_json's text."""
     # Exact types only (the flag builders pass Fractions and ints, never a bool), or
     # flag_to_json's text: ASCII digits with an optional leading "-" and "/q", q nonzero.
-    if type(x) is Fraction:
-        return x
     if type(x) is int:
-        return Fraction(x)
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
     if type(x) is str:
         num, slash, den = x.removeprefix("-").partition("/")
         p, q = _natural(num), _natural(den) if slash else 1
         if p is not None and q:
-            return Fraction(-p if x[:1] == "-" else p, q)
+            return -p if x[:1] == "-" else p, q
     raise FlagError(f"bad rational at row {i}, column {j}: {x!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FlagMatrix:
-    """An invertible square matrix of rationals; row i spans the i-th flag step."""
+    """An invertible square matrix of rationals; row i spans the i-th flag step and is
+    held as the ints ``_ints[i]`` over ``_dens[i]`` > 0 (``rows`` is built on first read)."""
 
-    rows: Matrix
+    _ints: list[list[int]]
+    _dens: list[int]
 
-    def __post_init__(self) -> None:
-        coerced = []
-        for i, row in enumerate(self.rows, start=1):
-            if len(row) != len(self.rows):
-                raise FlagError(f"row {i} has {len(row)} entries, expected {len(self.rows)}")
-            coerced.append(tuple(_rational(x, i, j) for j, x in enumerate(row, start=1)))
-        rows = tuple(coerced)
-        object.__setattr__(self, "rows", rows)
-        size = len(rows)
+    def __init__(self, rows) -> None:
+        ints, dens = [], []
+        for i, row in enumerate(rows, start=1):
+            if len(row) != len(rows):
+                raise FlagError(f"row {i} has {len(row)} entries, expected {len(rows)}")
+            pairs = [_entry(x, i, j) for j, x in enumerate(row, start=1)]
+            dens.append(lcm(*(q for _, q in pairs)))
+            ints.append([p * (dens[-1] // q) for p, q in pairs])
+        self._hold(ints, dens)
+
+    def _hold(self, ints: list[list[int]], dens: list[int]) -> FlagMatrix:
+        """Check and keep int rows over positive denominators; gram_basis_flag and
+        transform_flag call it on a bare instance."""
+        size = len(ints)
         if size == 0 or size % 2:
             raise FlagError(f"flag matrix must be square of even size, got {size} rows")
-        r = matrix_rank(rows)
+        r = sum(p is not None for p in _pivots(ints))
         if r != size:
             raise FlagError(f"matrix is singular: rank {r} of {size}")
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_dens", dens)
+        return self
+
+    @cached_property
+    def rows(self) -> Matrix:
+        return tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(self._ints, self._dens))
 
 
 def classify_flag(flag: FlagMatrix) -> FpfInvolution:
@@ -186,7 +204,7 @@ def classify_flag(flag: FlagMatrix) -> FpfInvolution:
     down: the first column where row i raises the rank of the pairings
     V_i x V_j, so the flag's rank grid is pi's grid c_pi.
     """
-    word = _pivots(_gram(_scaled(flag.rows)[0]))
+    word = _pivots(_gram(flag._ints))
     if None in word:
         raise ConsistencyError(f"row {word.index(None) + 1} of the pairing grid adds no rank")
     try:
@@ -195,16 +213,17 @@ def classify_flag(flag: FlagMatrix) -> FpfInvolution:
         raise ConsistencyError(f"recovered map {word} is not a fixed-point-free involution") from exc
 
 
+def _target(mu: FpfInvolution) -> list[list[int]]:
+    m = mu.degree
+    rows = [[0] * m for _ in range(m)]
+    for i, v in enumerate(mu.word, start=1):
+        rows[i - 1][v - 1] = 1 if v > i else -1
+    return rows
+
+
 def gram_target(mu: FpfInvolution) -> Matrix:
     """The signed permutation matrix with +1 at (i, mu(i)) above the diagonal."""
-    m = mu.degree
-    rows = []
-    for i in range(1, m + 1):
-        row = [Fraction(0)] * m
-        v = mu.word[i - 1]
-        row[v - 1] = Fraction(1) if v > i else Fraction(-1)
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(map(Fraction, row)) for row in _target(mu))
 
 
 def gram_basis_flag(mu: FpfInvolution) -> FlagMatrix:
@@ -220,9 +239,9 @@ def gram_basis_flag(mu: FpfInvolution) -> FlagMatrix:
     for k, arc in enumerate(mu.arcs(), start=1):
         rows[arc.a - 1][k - 1] = 1
         rows[arc.d - 1][m - k] = 1
-    flag = FlagMatrix(tuple(map(tuple, rows)))
+    flag = FlagMatrix.__new__(FlagMatrix)._hold(rows, [1] * m)
     # The rows are integers, so their integer pairing matrix is the exact one.
-    if _gram(rows) != list(map(list, gram_target(mu))):
+    if _gram(rows) != _target(mu):
         raise ConsistencyError(f"gram matrix of constructed flag does not match target for {mu}")
     return flag
 
@@ -269,13 +288,26 @@ def random_symplectic(n: int, seed: int, transvections: int = 8) -> Matrix:
 
 
 def transform_flag(flag: FlagMatrix, s: Matrix) -> FlagMatrix:
-    """Act on a flag by a matrix on row vectors (rows of the result span the new steps)."""
-    return FlagMatrix(mat_mul(flag.rows, s))
+    """Act on a flag by a matrix on row vectors (rows of the result span the new steps).
+
+    s is scaled once to ints over one common denominator den, so row i of
+    the result is the int row F_i (den s) over den times row i's denominator.
+    """
+    m = len(flag._ints)
+    if len(s) != m or any(len(row) != m for row in s):
+        raise FlagError(f"a flag of {m} rows moves only by a {m}x{m} matrix")
+    den = lcm(*(x.denominator for row in s for x in row))
+    cols = list(zip(*([x.numerator * (den // x.denominator) for x in row] for row in s)))
+    ints = [[sum(map(mul, row, col)) for col in cols] for row in flag._ints]
+    return FlagMatrix.__new__(FlagMatrix)._hold(ints, [d * den for d in flag._dens])
 
 
 def flag_to_json(flag: FlagMatrix) -> str:
-    """Serialize as a JSON array of arrays of "p/q" strings."""
-    return json.dumps([[str(x) for x in row] for row in flag.rows])
+    """Serialize as a JSON array of arrays of "p/q" strings, each entry as str(Fraction) writes it."""
+    return json.dumps([
+        [str(x // g) if (g := gcd(x, d)) == d else f"{x // g}/{d // g}" for x in row]
+        for row, d in zip(flag._ints, flag._dens)
+    ])
 
 
 def parse_flag_json(text: str) -> FlagMatrix:

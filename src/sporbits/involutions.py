@@ -13,7 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Sequence
 
 # The largest degree any walk, enumeration or sweep covers: 135 135
@@ -42,9 +42,11 @@ class Transposition:
         if not (type(self.a) is int and type(self.d) is int and 1 <= self.a < self.d):
             raise InvolutionError(f"transposition needs integers 1 <= a < d, got ({self.a}, {self.d})")
 
-    @property
+    @cached_property
     def label(self) -> str:
-        """Compact edge label: "ad" while both endpoints are single digits, else "a,d"."""
+        """Compact edge label: "ad" while both endpoints are single digits, else "a,d".
+
+        Kept after the first read: a graph shares one object per label across its edges."""
         if self.d <= 9:
             return f"{self.a}{self.d}"
         return f"{self.a},{self.d}"

@@ -16,7 +16,8 @@ JSON stdout must be one object with a string "schema".
 
 To see a case's current value, run
 ``python -m sporbits.cli <argv>`` and hash its stdout with ``sha256sum``
-(write the flag files as `flag_files` does for `classify`).
+(write the flag files as `flag_files` does for `classify`; their text is
+pinned too).
 """
 
 import hashlib
@@ -30,8 +31,8 @@ from sporbits.involutions import parse_involution
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
-# id -> (argv, exit code, sha256 of stdout); "{flag}" and "{identity18}" are
-# the flag files.
+# id -> (argv, exit code, sha256 of stdout); "{flag}", "{flag10}" and
+# "{identity18}" are the flag files.
 CASES = {
     "enumerate": (["enumerate", "--degree", "8"], 0, "0d3bfbca10c09b40556d3852db29b243f296edc3716fe326cd9f6e4a24054ad5"),
     "enumerate-json": (["enumerate", "--degree", "6", "--output", "json"], 0, "ed42c8af19058ccc60ee36a991c2da9df10d4344bff357542defa4d3ad95bcf9"),
@@ -61,6 +62,8 @@ CASES = {
     "classify-json": (["classify", "{flag}", "--output", "json"], 0, "deb4615de4bca1c0e4ce586fa305a8921c8ae215309ca39385b97a3746a6f0ea"),
     "classify-beyond-cap": (["classify", "{flag}", "--max-degree-override", "6"], 0, "df44917ae22f1d28166096f2a9b3652f6172f66336e313be64448f8ad59ed368"),
     "classify-over-cap": (["classify", "{identity18}"], 3, EMPTY),
+    # Ten rows with entries such as -1519/2 and -395/4: the orbit of 7,6,10,9,8,2,1,5,4,3 moved.
+    "classify-ten-grid": (["classify", "{flag10}", "--grid"], 0, "a24f72a0e85f40be5c49a1ec4ef137427bb85f92e39a467e2363400f39598267"),
     "verify-theorem": (["verify-theorem", "--degree", "8"], 0, "f95ea7db32893c7723006af96a4d6906eec149771754ef40135369d1fab0b5b8"),
     "verify-theorem-json": (["verify-theorem", "--degree", "6", "--output", "json"], 0, "13ebf86240d50a4018708d3e3314b8168d551d51a2cdf96038a833f966029eae"),
     "verify-theorem-default": (["verify-theorem", "--max-degree-override", "6"], 0, "a76fdc38150099f691e953eddccc940002f240370ee3a809cf8d661072659453"),
@@ -105,13 +108,30 @@ def _output(argv):
     return argv[argv.index("--output") + 1] if "--output" in argv else "text"
 
 
+def _golden_flag():
+    return transform_flag(gram_basis_flag(parse_involution("64827153")), random_symplectic(4, 5))
+
+
+def _golden_flag10():
+    return transform_flag(gram_basis_flag(parse_involution("7,6,10,9,8,2,1,5,4,3")), random_symplectic(5, 3))
+
+
 @pytest.fixture(scope="module")
 def flag_files(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("golden")
-    flag = transform_flag(gram_basis_flag(parse_involution("64827153")), random_symplectic(4, 5))
-    (tmp / "flag.json").write_text(flag_to_json(flag))
+    (tmp / "flag.json").write_text(flag_to_json(_golden_flag()))
+    (tmp / "flag10.json").write_text(flag_to_json(_golden_flag10()))
     (tmp / "identity18.json").write_text(json.dumps([[int(i == j) for j in range(18)] for i in range(18)]))
-    return {"{flag}": str(tmp / "flag.json"), "{identity18}": str(tmp / "identity18.json")}
+    return {"{flag}": str(tmp / "flag.json"), "{flag10}": str(tmp / "flag10.json"), "{identity18}": str(tmp / "identity18.json")}
+
+
+def test_golden_flag_files_text():
+    # The classify goldens read these files, so their text is pinned too.
+    digests = [hashlib.sha256(flag_to_json(f()).encode()).hexdigest() for f in (_golden_flag, _golden_flag10)]
+    assert digests == [
+        "82ce398ed1b3bede5f420e9ece810aafd6b4de548199341f900abf51afa73d83",
+        "6cac07921f5732bee0a46b62ea6024e4aff0fe77be418b8396f4d741169d2f70",
+    ]
 
 
 def _run(capsys, flag_files, argv):

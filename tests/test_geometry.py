@@ -24,9 +24,17 @@ from sporbits.geometry import (
     standard_form,
     transform_flag,
 )
-from sporbits.involutions import corner_counts, enumerate_fpf, parse_involution, w0
+from sporbits.involutions import FpfInvolution, corner_counts, enumerate_fpf, parse_involution, w0
 
-from oracles import corner_rank_grid, fraction_mat_mul, fraction_rank, identity, transpose, transvection_product
+from oracles import (
+    corner_rank_grid,
+    fpf_words,
+    fraction_mat_mul,
+    fraction_rank,
+    identity,
+    transpose,
+    transvection_product,
+)
 
 p = parse_involution
 
@@ -373,3 +381,82 @@ class TestSerialization:
         text = "[[" + ", ".join(["true"] * 300000) + "], [0, 1]]"
         with pytest.raises(FlagError, match="row 1 has 300000 entries, expected 2"):
             parse_flag_json(text)
+
+
+def _int_row_cases():
+    """(flag, its rows as the old Fraction coercion made them): random flags and
+    moved basis flags at 2n <= 12, the moves by the oracle's Fraction product."""
+    rng = random.Random(59)
+    for n in range(1, 7):
+        m = 2 * n
+        for _ in range(3):
+            rows = _random_flag(rng, m).rows
+            yield FlagMatrix(rows), tuple(tuple(map(Fraction, row)) for row in rows)
+        mus = list(enumerate_fpf(n)) if n <= 3 else [FpfInvolution(w) for w in rng.sample(fpf_words(m), 4)]
+        for mu in mus[:5]:
+            s = random_symplectic(n, rng.randrange(10**6), rng.randrange(12))
+            yield transform_flag(gram_basis_flag(mu), s), fraction_mat_mul(_basis_rows(mu), s)
+
+
+def _basis_rows(mu):
+    """gram_basis_flag(mu)'s rows as Fractions, written out from the arcs."""
+    m = mu.degree
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    for k, arc in enumerate(mu.arcs(), start=1):
+        rows[arc.a - 1][k - 1] = rows[arc.d - 1][m - k] = Fraction(1)
+    return tuple(map(tuple, rows))
+
+
+class TestIntRows:
+    """A flag keeps int rows over one denominator per row; Fractions appear only when `rows` is read."""
+
+    def test_rows_json_and_parse_equal_the_fraction_forms(self):
+        count = 0
+        for flag, coerced in _int_row_cases():
+            assert flag.rows == coerced
+            assert all(type(x) is Fraction for row in flag.rows for x in row)
+            text = flag_to_json(flag)
+            assert text == json.dumps([[str(x) for x in row] for row in coerced])
+            assert parse_flag_json(text).rows == coerced
+            count += 1
+        assert count == 39
+
+    @pytest.mark.parametrize(
+        "data, rows",
+        [
+            ([["2/4", "-0"], ["0/7", 3]], [["1/2", "0"], ["0", "3"]]),
+            ([[1, "-3/6"], ["4/8", 2]], [["1", "-1/2"], ["1/2", "2"]]),
+            ([["-12/4", 0], [5, "10/25"]], [["-3", "0"], ["5", "2/5"]]),
+        ],
+    )
+    def test_unreduced_and_signed_entries(self, data, rows):
+        flag = parse_flag_json(json.dumps(data))
+        assert flag_to_json(flag) == json.dumps(rows)
+        assert flag.rows == tuple(tuple(map(Fraction, row)) for row in rows)
+
+    def test_mixed_denominators_in_one_row(self):
+        flag = FlagMatrix(((Fraction(1, 2), 3), (Fraction(-2, 3), Fraction(5, 6))))
+        assert flag_to_json(flag) == '[["1/2", "3"], ["-2/3", "5/6"]]'
+        assert transform_flag(flag, identity(2)).rows == flag.rows
+
+    def test_transform_refuses_a_matrix_of_another_size(self):
+        with pytest.raises(FlagError, match=r"^a flag of 4 rows moves only by a 4x4 matrix$"):
+            transform_flag(_identity_flag(4), identity(2))
+        with pytest.raises(FlagError, match=r"^a flag of 2 rows moves only by a 2x2 matrix$"):
+            transform_flag(_identity_flag(2), ((1, 0, 0), (0, 1, 0)))
+
+    def test_flag_is_immutable(self):
+        flag = _identity_flag(2)
+        with pytest.raises(AttributeError):
+            flag.rows = ((1, 0), (0, 1))
+
+    def test_no_fraction_rows_between_input_and_output(self):
+        # Build, move, serialize, parse and classify as `flags` and `classify` do.
+        rng = random.Random(61)
+        for n in range(1, 7):
+            word = rng.choice(fpf_words(2 * n))
+            basis = gram_basis_flag(FpfInvolution(word))
+            moved = transform_flag(basis, random_symplectic(n, rng.randrange(10**6)))
+            parsed = parse_flag_json(flag_to_json(moved))
+            assert classify_flag(parsed).word == word
+            assert all("rows" not in vars(f) for f in (basis, moved, parsed)), word

@@ -273,3 +273,10 @@ class TestTextForm:
         assert str(p("351624")) == "351624"
         assert Transposition(1, 3).label == "13"
         assert Transposition(9, 12).label == "9,12"
+
+    def test_label_is_formatted_once(self):
+        # A graph shares one Transposition per label across its edges.
+        t = Transposition(1, 10)
+        assert "label" not in vars(t)
+        assert t.label is t.label == vars(t)["label"] == str(t) == "1,10"
+        assert t == Transposition(1, 10) and hash(t) == hash(Transposition(1, 10))
