@@ -64,8 +64,9 @@ The columns:
   sweep is in effect a two-way check.  It still weights by the tables' own
   d↓ and does not assume d↓ = rank;
 - avoids: membership in `patterns.avoiders`, the avoider set of the degree
-  built by arc insertion, packed once per degree; `avoids_all_bad` stays
-  the per-element path.
+  built by arc insertion from the integer arc-deletion table of the degree
+  below (`patterns._arc_deletions`), packed once per degree;
+  `avoids_all_bad` stays the per-element path.
 
 Each column is one mask over the scan indices: the counters are compared
 where they sit, each rank keeping the result under the mask of its range,

@@ -11,8 +11,11 @@ search in test_patterns.
 
 import json
 import math
+import os
 import random
 import time
+
+import pytest
 
 from sporbits.bruhat import (
     bracket_product,
@@ -115,41 +118,46 @@ def test_criterion_3_worked_examples(capsys):
     )
 
 
-def test_criterion_4_lemma_suite(capsys):
-    failures = []
-    checked = 0
-    for n in (2, 3):
-        elems = enumerate_fpf(n)
-        for pi in elems:
-            for mu in elems:
-                if not reverse_leq(mu, pi):
-                    continue
-                for t in mu.arcs():
-                    if not pi.has_arc(t):
-                        continue
-                    rep = lemma_check(mu, pi, t)
-                    checked += 1
-                    if not (rep.rank_identity and rep.propagation):
-                        failures.append((str(mu), str(pi), t.label))
-    # random cases at degree 8
-    elems = enumerate_fpf(4)
-    eligible = []
+def lemma_triples(n):
+    """Every (mu, pi, t) with mu <= pi of degree 2n and t an arc of both."""
+    elems = enumerate_fpf(n)
     for pi in elems:
         for mu in elems:
             if reverse_leq(mu, pi):
-                shared = [t for t in mu.arcs() if pi.has_arc(t)]
-                eligible.extend((mu, pi, t) for t in shared)
+                yield from ((mu, pi, t) for t in mu.arcs() if pi.has_arc(t))
+
+
+def lemma_failures(triples):
+    reports = ((mu, pi, t, lemma_check(mu, pi, t)) for mu, pi, t in triples)
+    return [(str(mu), str(pi), t.label) for mu, pi, t, rep in reports if not (rep.rank_identity and rep.propagation)]
+
+
+def test_criterion_4_lemma_suite(capsys):
+    failures = []
+    checked = 0
+    for n in (2, 3, 4):
+        triples = list(lemma_triples(n))
+        failures += lemma_failures(triples)
+        checked += len(triples)
+    # every triple at degree 8
+    assert len(triples) == 2828
+    # random cases at degree 8
     rng = random.Random(20260811)
-    sample = rng.sample(eligible, 500)
-    for mu, pi, t in sample:
-        rep = lemma_check(mu, pi, t)
-        checked += 1
-        if not (rep.rank_identity and rep.propagation):
-            failures.append((str(mu), str(pi), t.label))
+    sample = rng.sample(triples, 500)
+    failures += lemma_failures(sample)
+    checked += len(sample)
     ok = not failures and checked >= 500
     with capsys.disabled():
         report(4, "deletion lemma suite", ok, f"{len(failures)} failures of {checked}")
     assert ok, failures[:5]
+
+
+@pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
+def test_criterion_4_lemma_exhaustive_at_ten():
+    # All 157 050 triples at degree 10, in 20-40 s.
+    triples = list(lemma_triples(5))
+    assert len(triples) == 157_050
+    assert lemma_failures(triples) == []
 
 
 def test_criterion_5_degree_lower_bound(capsys):
