@@ -133,10 +133,6 @@ def _pivots(rows: list[list[int]]) -> list[int | None]:
     return found
 
 
-def matrix_rank(m: Matrix) -> int:
-    return sum(p is not None for p in _pivots(_scaled(m)[0]))
-
-
 def rank_grid(m: Matrix) -> tuple[tuple[int, ...], ...]:
     """grid[i][j] = rank of the top-left i x j corner of a square matrix, for 0 <= i, j <= size."""
     for i, row in enumerate(m, start=1):

@@ -9,9 +9,10 @@ union of arcs, matrix rank by plain rational elimination, corner rank
 grids by one elimination per row count, products of symplectic
 transvections by full Fraction matrix products, poset grading by longest
 chains, interval-graph regularity by conjugating every vertex by every
-transposition, and the whole-degree sweep columns by dense numpy matrices
-(small degrees only) and by one lower-set bitset per element read in byte
-classes.
+transposition, and the whole-degree sweep columns by the order over every
+pair, one bitset column per element built from corner-count thresholds
+(small degrees only), and by one lower-set bitset per element read in byte
+classes.  Plain ints only: no third-party package.
 """
 
 from __future__ import annotations
@@ -354,65 +355,82 @@ def conjugates_below(w: tuple[int, ...]) -> set[tuple[int, ...]]:
     }
 
 
-def dense_leq(words: list[tuple[int, ...]]):
-    """leq[m, p] is True iff words[m] <= words[p] in reverse order, as one
-    numpy matrix: each word's table c(i, v) = #{k <= i : w(k) <= v} is
-    compared with every other at once.  Prefix dominance in count form:
-    mu <= pi iff c_pi >= c_mu entrywise.  One byte per pair, so only for
-    small degrees."""
-    import numpy as np
+def bit_indices(x: int) -> list[int]:
+    """The positions of the set bits of x, ascending: the binary digits of
+    x, lowest first, with each "0" made a zero byte, select from 0, 1, 2, ..."""
+    return list(itertools.compress(itertools.count(), bin(x)[:1:-1].encode().replace(b"0", b"\0")))
 
+
+def leq_columns(words: list[tuple[int, ...]]) -> list[int]:
+    """columns[p] has bit m set iff words[m] <= words[p] in reverse order.
+
+    Prefix dominance in count form: mu <= pi iff c_mu <= c_pi at every
+    corner, for c(i, v) = #{k <= i : w(k) <= v}.  thr[k][c] is the set of
+    words whose count at corner k is at most c, so column pi is the AND of
+    thr[k][c_pi(k)] over the corners k.  Each table is counted from the
+    word, row by row.
+    """
     two_n = len(words[0])
-    counts = np.empty((len(words), two_n * two_n), dtype=np.int8)
-    for m, w in enumerate(words):
-        hits = np.zeros((two_n, two_n), dtype=np.int16)
-        hits[np.arange(two_n), np.array(w) - 1] = 1
-        counts[m] = hits.cumsum(axis=0).cumsum(axis=1).astype(np.int8).ravel()
-    leq = np.empty((len(words), len(words)), dtype=bool)
-    for p in range(len(words)):
-        leq[:, p] = (counts[p] >= counts).all(axis=1)
-    return leq
+    tables = []
+    for w in words:
+        row, table = [0] * two_n, []
+        for x in w:
+            row = [c + (v >= x) for v, c in enumerate(row, start=1)]
+            table += row
+        tables.append(table)
+    thr = []
+    for k in range(two_n * two_n):
+        at = [0] * (two_n + 1)
+        for m, table in enumerate(tables):
+            at[table[k]] |= 1 << m
+        for c in range(1, two_n + 1):
+            at[c] |= at[c - 1]
+        thr.append(at)
+    columns = []
+    for table in tables:
+        column = -1
+        for at, c in zip(thr, table):
+            column &= at[c]
+        columns.append(column)
+    return columns
 
 
-def dense_neighbors(words: list[tuple[int, ...]]):
-    """0/1 numpy matrix with entry (m, v) set iff words[v] = t*words[m]*t != words[m]."""
-    import numpy as np
-
+def neighbor_rows(words: list[tuple[int, ...]]) -> list[int]:
+    """rows[m] has bit v set iff words[v] = t*words[m]*t != words[m] for a transposition t."""
     index = {w: m for m, w in enumerate(words)}
     two_n = len(words[0])
-    nb = np.zeros((len(words), len(words)), dtype=np.float64)
+    rows = [0] * len(words)
     for m, w in enumerate(words):
         for a in range(1, two_n):
             for d in range(a + 1, two_n + 1):
                 v = conjugate_by(w, a, d)
                 if v != w:
-                    nb[m, index[v]] = 1
-    return nb
+                    rows[m] |= 1 << index[v]
+    return rows
 
 
-def dense_survey(two_n: int):
-    """The whole-degree columns by dense matrices, for 2n <= 10.
+def bitset_survey(two_n: int):
+    """The whole-degree columns from the order over every pair, for small 2n.
 
     Returns the sorted words, their ranks, and per word (palindromic,
     regular): the rank histogram of the lower interval reads the same
     reversed, and every vertex of the interval's conjugation graph has
-    degree equal to the top's rank.
+    degree equal to the top's rank.  The interval is a column of
+    `leq_columns`, and a vertex's degree inside it is the popcount of its
+    `neighbor_rows` row ANDed with that column.
     """
-    import numpy as np
-
     words = fpf_words(two_n)
-    ranks = np.array([inversion_rank(w) for w in words])
-    leq = dense_leq(words)
-    nb = dense_neighbors(words)
-    degrees = nb @ leq.astype(np.float64)  # exact: integers far below 2**53
+    ranks = [inversion_rank(w) for w in words]
+    rows = neighbor_rows(words)
     columns = []
-    for p in range(len(words)):
-        members = leq[:, p]
-        hist = np.bincount(ranks[members])
-        columns.append(
-            (bool(np.array_equal(hist, hist[::-1])), bool((degrees[members, p] == ranks[p]).all()))
-        )
-    return words, ranks.tolist(), columns
+    for p, column in enumerate(leq_columns(words)):
+        hist = [0] * (ranks[p] + 1)
+        regular = True
+        for m in bit_indices(column):
+            hist[ranks[m]] += 1
+            regular = regular and (rows[m] & column).bit_count() == ranks[p]
+        columns.append((hist == hist[::-1], regular))
+    return words, ranks, columns
 
 
 def byte_class_columns(ranks, down_degree, covers) -> list[tuple[bool, bool]]:

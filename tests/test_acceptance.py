@@ -12,7 +12,6 @@ search in test_patterns.
 import json
 import math
 import os
-import random
 import time
 
 import pytest
@@ -141,12 +140,7 @@ def test_criterion_4_lemma_suite(capsys):
         checked += len(triples)
     # every triple at degree 8
     assert len(triples) == 2828
-    # random cases at degree 8
-    rng = random.Random(20260811)
-    sample = rng.sample(triples, 500)
-    failures += lemma_failures(sample)
-    checked += len(sample)
-    ok = not failures and checked >= 500
+    ok = not failures
     with capsys.disabled():
         report(4, "deletion lemma suite", ok, f"{len(failures)} failures of {checked}")
     assert ok, failures[:5]

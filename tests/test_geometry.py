@@ -17,7 +17,6 @@ from sporbits.geometry import (
     gram_basis_flag,
     gram_target,
     mat_mul,
-    matrix_rank,
     parse_flag_json,
     random_symplectic,
     rank_grid,
@@ -86,7 +85,6 @@ class TestRankGrid:
         # A 1x2 matrix once got a 2x2 grid without its second column (its
         # rank is 1), and a 2x1 matrix a 3x3 grid.
         zero, one = Fraction(0), Fraction(1)
-        assert matrix_rank(((zero, one),)) == 1
         with pytest.raises(FlagError, match=r"^rank grid needs a square matrix: row 1 has 2 entries, expected 1$"):
             rank_grid(((zero, one),))
         with pytest.raises(FlagError, match=r"^rank grid needs a square matrix: row 1 has 1 entries, expected 2$"):
@@ -132,7 +130,7 @@ class TestRankGrid:
                     a, b = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3), 3)
                     rows[size - 1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
                 m = tuple(map(tuple, rows))
-                singular += matrix_rank(m) < size
+                singular += fraction_rank(rows) < size
                 assert rank_grid(m) == corner_rank_grid(m), m
         assert singular >= 10
 

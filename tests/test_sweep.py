@@ -24,11 +24,6 @@ from sporbits.involutions import (
 from sporbits.patterns import avoids_all_bad
 
 
-def members(upper):
-    """Element indices of an up-set int: bit m is scan index m."""
-    return {m for m in range(upper.bit_length()) if upper >> m & 1}
-
-
 def never_increase(ranks):
     return all(a >= b for a, b in zip(ranks, ranks[1:]))
 
@@ -64,24 +59,28 @@ class TestTables:
             words = oracles.fpf_words(two_n)
             at = {el.word: m for m, el in enumerate(tables.elements)}
             assert sorted(at) == words and len(at) == len(tables.elements)
-            if two_n <= 8:
-                expected = {m: {p for p, pi in enumerate(words) if oracles.reverse_below(mu, pi)} for m, mu in enumerate(words)}
-            else:
-                leq = oracles.dense_leq(words)
-                expected = {m: set(leq[m].nonzero()[0].tolist()) for m in range(len(words))}
-            expected = {at[words[m]]: {at[words[p]] for p in above} for m, above in expected.items()}
+            # Column p of the oracle order holds the m below words[p]; the
+            # up-set of m, in scan bits, is every p whose column holds m.
+            expected = dict.fromkeys(at.values(), 0)
+            for p, column in enumerate(oracles.leq_columns(words)):
+                bit = 1 << at[words[p]]
+                for m in oracles.bit_indices(column):
+                    expected[at[words[m]]] |= bit
             got = dict(sweep._upper_sets(tables))
             assert got.keys() == expected.keys()
             for m, upper in got.items():
-                assert members(upper) == expected[m]
+                assert upper == expected[m]
 
-    def test_dense_oracle_matches_pairwise_comparison(self):
-        for two_n in (4, 6, 8):
+    def test_bitset_order_matches_pairwise_comparison(self):
+        pairs = {2: 1, 4: 6, 6: 101, 8: 3490, 10: 207_738}
+        for two_n, count in pairs.items():
             words = oracles.fpf_words(two_n)
-            leq = oracles.dense_leq(words)
-            for m, mu in enumerate(words):
+            columns = oracles.leq_columns(words)
+            assert sum(column.bit_count() for column in columns) == count
+            if two_n <= 8:
                 for p, pi in enumerate(words):
-                    assert bool(leq[m, p]) == oracles.reverse_below(mu, pi)
+                    for m, mu in enumerate(words):
+                        assert (columns[p] >> m & 1 == 1) == oracles.reverse_below(mu, pi)
 
     def test_ranks_match(self):
         for two_n in (8, 10):
@@ -105,7 +104,7 @@ class TestTables:
                 assert set(tables.upper_covers[m]) == covers
                 assert len(tables.upper_covers[m]) == len(covers)
             words = [el.word for el in tables.elements]
-            assert tables.neighbors.nnz == int(oracles.dense_neighbors(words).sum())
+            assert tables.neighbors.nnz == sum(row.bit_count() for row in oracles.neighbor_rows(words))
         assert sweep.poset_tables(12).neighbors.nnz == 311_850
 
     def test_scanned_tables_match_the_oracles(self):
@@ -239,7 +238,7 @@ class TestSurvey:
     def test_rows_match_dense_oracle(self):
         for two_n in (2, 4, 6, 8, 10):
             rows = sweep.theorem_survey(two_n).rows
-            words, ranks, columns = oracles.dense_survey(two_n)
+            words, ranks, columns = oracles.bitset_survey(two_n)
             assert len(rows) == len(words)
             for row, pi, word, r, (palindromic, regular) in zip(rows, enumerate_fpf(two_n // 2), words, ranks, columns):
                 assert pi.word == word
@@ -281,28 +280,26 @@ def test_up_degree_at_least_rank_gap_over_every_pair(two_n):
     # The precondition of the edge-count regularity column: for mu <= pi,
     # mu has at least r(pi) - r(mu) conjugates above it inside L(pi).
     # Degrees come from the cover scan, membership from the oracle order.
-    import numpy as np
-
     lower = _walk(open_orbit(two_n // 2))
     words = oracles.fpf_words(two_n)
     index = {w: m for m, w in enumerate(words)}
     at = {p: index[_unpack(p, two_n)] for p in lower.words}
     assert len(at) == len(words)
-    rank_of = np.zeros(len(words))
-    up = np.zeros((len(words), len(words)))  # up[m, v]: v is a conjugate above m
+    rank_of = [0] * len(words)
+    up = [0] * len(words)  # bit v of up[m]: v is a conjugate above m
     for k, (p, r) in enumerate(zip(lower.words, lower.ranks)):
         rank_of[at[p]] = r
         for v in lower.edges[lower.offsets[k] : lower.offsets[k + 1]]:
-            up[at[v], at[p]] = 1
-    if two_n <= 8:
-        leq = np.array([[oracles.reverse_below(mu, pi) for pi in words] for mu in words])
-    else:
-        leq = oracles.dense_leq(words)  # reverse_below for all pairs at once
-    inside = up @ leq  # inside[m, q]: conjugates above m that lie below q
-    gap = rank_of[None, :] - rank_of[:, None]
-    short = np.argwhere(leq & (inside < gap))
-    assert not len(short), [(words[m], words[q]) for m, q in short[:5]]
-    assert int(leq.sum()) == {2: 1, 4: 6, 6: 101, 8: 3490, 10: 207_738}[two_n]
+            up[at[v]] |= 1 << at[p]
+    columns = oracles.leq_columns(words)  # bit m of columns[q]: words[m] <= words[q]
+    short = [
+        (words[m], words[q])
+        for q, column in enumerate(columns)
+        for m in oracles.bit_indices(column)
+        if (up[m] & column).bit_count() < rank_of[q] - rank_of[m]
+    ]
+    assert not short, short[:5]
+    assert sum(column.bit_count() for column in columns) == {2: 1, 4: 6, 6: 101, 8: 3490, 10: 207_738}[two_n]
 
 
 @pytest.mark.skipif(os.environ.get("SPORBITS_SLOW") != "1", reason="slow: set SPORBITS_SLOW=1")
